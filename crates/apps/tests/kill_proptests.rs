@@ -97,6 +97,19 @@ fn assert_clean_modulo_leaks(r: &RunReport, ctx: &str) {
 
 const POLICIES: [Policy; 3] = [Policy::ChildRtc, Policy::ContGreedy, Policy::ContStalling];
 
+/// Victim selection under kills: uniform, and the hierarchical policy —
+/// the one reader of the failure streak — on two-worker nodes, so failed
+/// and stale takes steer the next draw.
+fn victims() -> [(VictimPolicy, Topology); 2] {
+    [
+        (VictimPolicy::Uniform, Topology::Flat),
+        (
+            VictimPolicy::Hierarchical { local_tries: 2 },
+            Topology::Hierarchical { node_size: 2, intra_factor: 0.5 },
+        ),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -113,14 +126,18 @@ proptest! {
             // dedups against a stale fence-free claim the same way it does
             // against a stale CAS.
             for protocol in Protocol::ALL {
-                let r = run(
-                    cfg_proto(policy, protocol, kill_plan(&raw, WORKERS)),
-                    program(spec.clone()),
-                );
-                let ctx = format!("{policy:?}/{} raw={raw:?}", protocol.label());
-                assert!(r.outcome.is_complete(), "{ctx}: {:?}", r.outcome);
-                assert_eq!(r.result.as_u64(), truth, "{ctx}");
-                assert_clean_modulo_leaks(&r, &ctx);
+                for (victim, topo) in victims() {
+                    let r = run(
+                        cfg_proto(policy, protocol, kill_plan(&raw, WORKERS))
+                            .with_victim(victim)
+                            .with_topology(topo),
+                        program(spec.clone()),
+                    );
+                    let ctx = format!("{policy:?}/{}/{victim:?} raw={raw:?}", protocol.label());
+                    assert!(r.outcome.is_complete(), "{ctx}: {:?}", r.outcome);
+                    assert_eq!(r.result.as_u64(), truth, "{ctx}");
+                    assert_clean_modulo_leaks(&r, &ctx);
+                }
             }
         }
     }
@@ -172,16 +189,21 @@ proptest! {
         let truth = serial_count(&spec).nodes;
         for policy in POLICIES {
             for protocol in Protocol::ALL {
-                let r = run(
-                    cfg_proto(policy, protocol, kill_plan(&raw, WORKERS))
-                        .with_fabric(FabricMode::Pipelined)
-                        .with_multi_steal(k),
-                    program(spec.clone()),
-                );
-                let ctx = format!("{policy:?}/{} K={k} raw={raw:?}", protocol.label());
-                assert!(r.outcome.is_complete(), "{ctx}: {:?}", r.outcome);
-                assert_eq!(r.result.as_u64(), truth, "{ctx}");
-                assert_clean_modulo_leaks(&r, &ctx);
+                for (victim, topo) in victims() {
+                    let r = run(
+                        cfg_proto(policy, protocol, kill_plan(&raw, WORKERS))
+                            .with_fabric(FabricMode::Pipelined)
+                            .with_multi_steal(k)
+                            .with_victim(victim)
+                            .with_topology(topo),
+                        program(spec.clone()),
+                    );
+                    let ctx =
+                        format!("{policy:?}/{}/{victim:?} K={k} raw={raw:?}", protocol.label());
+                    assert!(r.outcome.is_complete(), "{ctx}: {:?}", r.outcome);
+                    assert_eq!(r.result.as_u64(), truth, "{ctx}");
+                    assert_clean_modulo_leaks(&r, &ctx);
+                }
             }
         }
     }

@@ -115,7 +115,7 @@ fn bench_deque(filter: &str) {
             owner_push(&mut m, &mut items, &lay, 0, item(1)).unwrap();
             let (ok, _) = thief_lock(&mut m, &lay, 1, 0);
             assert!(ok);
-            black_box(thief_take(&mut m, &mut items, &lay, 1, 0).unwrap());
+            black_box(thief_take(&mut m, &mut items, &lay, 1, 0, None).unwrap());
         }
     });
 }

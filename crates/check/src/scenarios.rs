@@ -26,7 +26,7 @@ use dcs_core::dedup::ClaimSet;
 use dcs_core::deque::{
     ff_owner_pop, ff_owner_push, ff_thief_claim, lock_word, owner_pop, owner_push,
     thief_advance_top, thief_lock, thief_lock_epoch, thief_read_bounds, thief_release_lock,
-    thief_take, thief_take_at, thief_take_no_release, DequeError, FfSteal,
+    thief_take, thief_take_no_release, DequeError, FfSteal,
 };
 use dcs_core::frame::{frame, Effect, TaskCtx};
 use dcs_core::layout::{SegLayout, DQ_LOCK, DQ_TOP};
@@ -244,7 +244,7 @@ impl Actor<DqWorld> for DqActor {
                 }
                 ThiefState::Take => match order {
                     ReleaseOrder::Fixed => {
-                        match thief_take(&mut w.m, &mut w.items, &w.lay, me, 0) {
+                        match thief_take(&mut w.m, &mut w.items, &w.lay, me, 0, None) {
                             Ok((Some((item, _size)), cost)) => {
                                 check_fifo(w, &item);
                                 *state = ThiefState::Done;
@@ -268,7 +268,7 @@ impl Actor<DqWorld> for DqActor {
                         }
                     }
                     ReleaseOrder::Broken => {
-                        match thief_take_no_release(&mut w.m, &mut w.items, &w.lay, me, 0) {
+                        match thief_take_no_release(&mut w.m, &mut w.items, &w.lay, me, 0, None) {
                             Ok((Some((item, _size, top)), cost)) => {
                                 check_fifo(w, &item);
                                 // BUG (deliberate): release the lock now,
@@ -290,7 +290,7 @@ impl Actor<DqWorld> for DqActor {
                         }
                     }
                     ReleaseOrder::Pipelined => {
-                        match thief_take_no_release(&mut w.m, &mut w.items, &w.lay, me, 0) {
+                        match thief_take_no_release(&mut w.m, &mut w.items, &w.lay, me, 0, None) {
                             Ok((Some((item, size, top)), cost)) => {
                                 check_fifo(w, &item);
                                 // The shipped pipelined composition: top is
@@ -832,14 +832,13 @@ impl Actor<MsWorld> for MsActor {
                 }
                 MsThiefState::Take { victim, top, bottom } => {
                     let v = *victim;
-                    match thief_take_at(
+                    match thief_take(
                         &mut w.m,
                         &mut w.items[v],
                         &w.lay,
                         me,
                         v,
-                        *top,
-                        *bottom,
+                        Some((*top, *bottom)),
                     ) {
                         Ok((Some((item, _size)), cost)) => {
                             let tag = dq_tag(&item);
@@ -863,7 +862,7 @@ impl Actor<MsWorld> for MsActor {
                         }
                         Err(d) => {
                             w.violations
-                                .push(format!("thief_take_at observed dead slot: {d:?}"));
+                                .push(format!("known-bounds thief_take observed dead slot: {d:?}"));
                             Step::Halt
                         }
                     }
@@ -1540,7 +1539,7 @@ impl Actor<DqWorld> for ZombieActor {
                             *state = ZombieState::Done;
                             return Step::Yield(w.m.local_op(me));
                         }
-                        match thief_take(&mut w.m, &mut w.items, &w.lay, me, 0) {
+                        match thief_take(&mut w.m, &mut w.items, &w.lay, me, 0, None) {
                             Ok((Some((item, _size)), cost)) => {
                                 if w.m.epoch_of(me) > 0 {
                                     w.violations.push(
@@ -1601,7 +1600,7 @@ impl Actor<DqWorld> for ZombieActor {
                     Step::Yield(cost)
                 }
                 SuspectorState::Take => {
-                    match thief_take(&mut w.m, &mut w.items, &w.lay, me, 0) {
+                    match thief_take(&mut w.m, &mut w.items, &w.lay, me, 0, None) {
                         Ok((Some((item, _size)), cost)) => {
                             check_fifo(w, &item);
                             *state = SuspectorState::Done;

@@ -262,7 +262,8 @@ pub fn thief_lock_epoch(
 /// Steps 2–3 of a steal (requires the lock): read bounds, take the oldest
 /// item, advance `top` and release. Returns the stolen item with its wire
 /// size, or `None` if the deque was empty (released either way). The payload
-/// transfer (step 4) is charged by the caller.
+/// transfer (step 4) is charged by the caller. `bounds` carries `[top,
+/// bottom]` when they are already known (see [`thief_take_no_release`]).
 ///
 /// A dead slot at `top` returns [`DeadSlot`] — the lock is still released
 /// (so the victim is not wedged by the thief's failure) but `top` is *not*
@@ -273,8 +274,9 @@ pub fn thief_take(
     lay: &SegLayout,
     me: WorkerId,
     victim: WorkerId,
+    bounds: Option<(u64, u64)>,
 ) -> Result<(Option<(QueueItem, usize)>, VTime), DeadSlot> {
-    match thief_take_no_release(m, victim_items, lay, me, victim) {
+    match thief_take_no_release(m, victim_items, lay, me, victim, bounds) {
         Ok((None, mut cost)) => {
             // Empty: release the lock (non-blocking put suffices).
             cost += m.post_put_u64_unsignaled(me, word(lay, victim, DQ_LOCK), 0);
@@ -303,53 +305,44 @@ pub fn thief_take(
 /// `top` index it was taken from.
 pub type StolenEntry = (QueueItem, usize, u64);
 
-/// Checker seam: steps 2–3 of a steal **without** the bounds advance or the
-/// lock release. On success returns the item, its wire size, and the `top`
+/// Steps 2–3 of a steal **without** the bounds advance or the lock
+/// release. On success returns the item, its wire size, and the `top`
 /// index it was taken from; the caller must then call [`thief_advance_top`]
-/// and [`thief_release_lock`] itself. `dcs-check` uses this to recompose the
-/// release sequence in the *wrong* order across separate engine steps and
-/// prove the schedule explorer catches the resulting dead-slot window.
+/// and release the lock itself (the scheduler posts the release in its
+/// commit group). `dcs-check` uses this to recompose the release sequence
+/// in the *wrong* order across separate engine steps and prove the
+/// schedule explorer catches the resulting dead-slot window.
+///
+/// `bounds` carries `[top, bottom]` when they are already known: a
+/// multi-steal probe reads them in the same doorbell chain as its lock
+/// CAS, and a won lock freezes the bounds (owner ops and rival thieves
+/// observe the lock), so the take skips the bounds re-read — one
+/// small-get round trip saved per successful steal. `None` reads them.
 pub fn thief_take_no_release(
     m: &mut Machine,
     victim_items: &mut Slab<QueueItem>,
     lay: &SegLayout,
     me: WorkerId,
     victim: WorkerId,
+    bounds: Option<(u64, u64)>,
 ) -> Result<(Option<StolenEntry>, VTime), DeadSlot> {
     debug_assert_ne!(me, victim, "stealing from self");
-    // One get covers the adjacent [top, bottom] words.
-    let (top, cost) = m.get_u64(me, word(lay, victim, DQ_TOP));
-    let (bottom, _) = m.get_u64(me, word(lay, victim, DQ_BOTTOM));
-    match thief_take_no_release_at(m, victim_items, lay, me, victim, top, bottom) {
-        Ok((got, c)) => Ok((got, cost + c)),
-        Err(mut d) => {
-            d.cost += cost;
-            Err(d)
+    let (top, bottom, mut cost) = match bounds {
+        Some((top, bottom)) => (top, bottom, VTime::ZERO),
+        None => {
+            // One get covers the adjacent [top, bottom] words.
+            let (top, cost) = m.get_u64(me, word(lay, victim, DQ_TOP));
+            let (bottom, _) = m.get_u64(me, word(lay, victim, DQ_BOTTOM));
+            (top, bottom, cost)
         }
-    }
-}
-
-/// [`thief_take_no_release`] with the bounds already known: a multi-steal
-/// probe reads `[top, bottom]` in the same doorbell chain as its lock CAS,
-/// and a won lock freezes the bounds (owner ops and rival thieves observe
-/// the lock), so the take step can skip the bounds re-read — one small-get
-/// round trip saved per successful steal.
-pub fn thief_take_no_release_at(
-    m: &mut Machine,
-    victim_items: &mut Slab<QueueItem>,
-    lay: &SegLayout,
-    me: WorkerId,
-    victim: WorkerId,
-    top: u64,
-    bottom: u64,
-) -> Result<(Option<StolenEntry>, VTime), DeadSlot> {
-    debug_assert_ne!(me, victim, "stealing from self");
+    };
     if top == bottom {
-        return Ok((None, VTime::ZERO));
+        return Ok((None, cost));
     }
     let slot = GlobalAddr::new(victim, lay.dq_slot(top));
-    let (keyp1, cost) = m.get_u64(me, slot);
+    let (keyp1, c) = m.get_u64(me, slot);
     let (size, _) = m.get_u64(me, slot.field(1));
+    cost += c;
     let dead = |cost| {
         Err(DeadSlot {
             op: "thief_take",
@@ -365,35 +358,6 @@ pub fn thief_take_no_release_at(
     };
     m.post_put_u64_unsignaled(me, slot, 0);
     Ok((Some((item, size as usize, top)), cost))
-}
-
-/// [`thief_take`] with the bounds already known (see
-/// [`thief_take_no_release_at`]): entry read, advance, release — no bounds
-/// round trip.
-pub fn thief_take_at(
-    m: &mut Machine,
-    victim_items: &mut Slab<QueueItem>,
-    lay: &SegLayout,
-    me: WorkerId,
-    victim: WorkerId,
-    top: u64,
-    bottom: u64,
-) -> Result<(Option<(QueueItem, usize)>, VTime), DeadSlot> {
-    match thief_take_no_release_at(m, victim_items, lay, me, victim, top, bottom) {
-        Ok((None, mut cost)) => {
-            cost += m.post_put_u64_unsignaled(me, word(lay, victim, DQ_LOCK), 0);
-            Ok((None, cost))
-        }
-        Ok((Some((item, size, top)), mut cost)) => {
-            thief_advance_top(m, lay, me, victim, top + 1);
-            cost += thief_release_lock(m, lay, me, victim);
-            Ok((Some((item, size)), cost))
-        }
-        Err(mut d) => {
-            d.cost += thief_release_lock(m, lay, me, victim);
-            Err(d)
-        }
-    }
 }
 
 /// Checker seam: advance the victim's `top` to `new_top` (non-blocking put;
@@ -813,7 +777,7 @@ pub fn ff_owner_pop_parent(
 
 /// Decode one fence-free entry span `[key+1, wire_size, ticket]` read from
 /// a victim's ring and decide the steal outcome — the host-side half of the
-/// thief's claim step, shared by the blocking and pipelined paths. Mutates
+/// thief's claim step. Mutates
 /// the victim's slab (`Cont` take / `Child` clone) and the claim set; the
 /// caller charges the fabric (entry get, claim-write, payload or wasted
 /// payload).
@@ -868,7 +832,7 @@ pub fn ff_decide(
 /// Fence-free thief claim, blocking charging: entry span get (one verb) +
 /// plain claim-write of the `top` hint. A [`FfSteal::Dup`] additionally
 /// charges the wasted payload transfer here; a winner's payload is charged
-/// by the caller (so pipelined and blocking winners share one code path).
+/// by the caller.
 pub fn ff_thief_claim(
     m: &mut Machine,
     victim_ws: &mut WorkerShared,
@@ -999,7 +963,7 @@ mod tests {
         }
         let (locked, _) = thief_lock(&mut m, &lay, 1, 0);
         assert!(locked);
-        let (got, _) = thief_take(&mut m, &mut items, &lay, 1, 0).unwrap();
+        let (got, _) = thief_take(&mut m, &mut items, &lay, 1, 0, None).unwrap();
         let (item, size) = got.unwrap();
         assert_eq!(tag_of(&item), 0, "steals take the oldest task");
         assert_eq!(size, item.wire_size());
@@ -1028,7 +992,7 @@ mod tests {
         let (locked2, _) = thief_lock(&mut m, &lay, 1, 0);
         assert!(!locked2);
         // After the take releases, the owner proceeds.
-        let _ = thief_take(&mut m, &mut items, &lay, 1, 0).unwrap();
+        let _ = thief_take(&mut m, &mut items, &lay, 1, 0, None).unwrap();
         assert!(owner_pop(&mut m, &mut items, &lay, 0).is_ok());
     }
 
@@ -1037,7 +1001,7 @@ mod tests {
         let (mut m, mut items, lay) = setup();
         let (locked, _) = thief_lock(&mut m, &lay, 1, 0);
         assert!(locked);
-        let (got, _) = thief_take(&mut m, &mut items, &lay, 1, 0).unwrap();
+        let (got, _) = thief_take(&mut m, &mut items, &lay, 1, 0, None).unwrap();
         assert!(got.is_none());
         // Lock released: owner can push again.
         assert!(owner_push(&mut m, &mut items, &lay, 0, child_item(0)).is_ok());
@@ -1099,7 +1063,7 @@ mod tests {
         assert_eq!((d.op, d.index), ("owner_pop_parent", 0));
         let (locked, _) = thief_lock(&mut m, &lay, 1, 0);
         assert!(locked);
-        let d = thief_take(&mut m, &mut items, &lay, 1, 0).unwrap_err();
+        let d = thief_take(&mut m, &mut items, &lay, 1, 0, None).unwrap_err();
         assert_eq!((d.op, d.index), ("thief_take", 0));
         // The failed thief still released the lock, and left `top` pointing
         // at the corpse.
@@ -1120,7 +1084,7 @@ mod tests {
         owner_push(&mut m, &mut items, &lay, 0, child_item(1)).unwrap();
         let (locked, _) = thief_lock(&mut m, &lay, 1, 0);
         assert!(locked);
-        let (got, _) = thief_take(&mut m, &mut items, &lay, 1, 0).unwrap();
+        let (got, _) = thief_take(&mut m, &mut items, &lay, 1, 0, None).unwrap();
         assert!(got.is_some());
         // Post-state: bounds advanced AND lock released — never the lock
         // free while `top` still covers the emptied slot.
@@ -1138,14 +1102,14 @@ mod tests {
         assert!(locked);
         let ((top, bottom), _) = thief_read_bounds(&mut m, &lay, 1, 0);
         let gets_before = m.stats_total().remote_gets;
-        let (got, _) = thief_take_at(&mut m, &mut items, &lay, 1, 0, top, bottom).unwrap();
+        let (got, _) = thief_take(&mut m, &mut items, &lay, 1, 0, Some((top, bottom))).unwrap();
         let (item, size) = got.unwrap();
         assert_eq!(tag_of(&item), 4);
         assert_eq!(size, item.wire_size());
         // Only the ring-entry pair (adjacent [key, size] words) — the
-        // bounds words of `thief_take` were not re-read.
+        // bounds words of a `None`-bounds take were not re-read.
         assert_eq!(m.stats_total().remote_gets, gets_before + 2);
-        // Post-state identical to `thief_take`: advanced and released.
+        // Post-state identical to a `None`-bounds take: advanced and released.
         assert_eq!(m.get_u64(1, word(&lay, 0, DQ_TOP)).0, 1);
         assert_eq!(m.get_u64(1, word(&lay, 0, DQ_LOCK)).0, 0);
         // A known-bounds take of an empty deque still releases the lock.
@@ -1153,7 +1117,7 @@ mod tests {
         assert!(locked);
         let ((top, bottom), _) = thief_read_bounds(&mut m, &lay, 1, 0);
         assert_eq!(top, bottom);
-        let (none, _) = thief_take_at(&mut m, &mut items, &lay, 1, 0, top, bottom).unwrap();
+        let (none, _) = thief_take(&mut m, &mut items, &lay, 1, 0, Some((top, bottom))).unwrap();
         assert!(none.is_none());
         assert_eq!(m.get_u64(1, word(&lay, 0, DQ_LOCK)).0, 0);
     }
@@ -1168,7 +1132,7 @@ mod tests {
         owner_push(&mut m, &mut items, &lay, 0, child_item(5)).unwrap();
         let (locked, _) = thief_lock(&mut m, &lay, 1, 0);
         assert!(locked);
-        let (got, _) = thief_take_no_release(&mut m, &mut items, &lay, 1, 0).unwrap();
+        let (got, _) = thief_take_no_release(&mut m, &mut items, &lay, 1, 0, None).unwrap();
         let (_, _, top) = got.unwrap();
         thief_release_lock(&mut m, &lay, 1, 0);
         assert!(matches!(
@@ -1441,7 +1405,9 @@ mod tests {
         loop {
             let (locked, _) = thief_lock(&mut m, &lay, 1, 0);
             assert!(locked);
-            if let (Some((item, _)), _) = thief_take(&mut m, &mut items, &lay, 1, 0).unwrap() {
+            if let (Some((item, _)), _) =
+                thief_take(&mut m, &mut items, &lay, 1, 0, None).unwrap()
+            {
                 seen[tag_of(&item) as usize] = true;
             } else {
                 break;

@@ -230,10 +230,10 @@ impl Worker {
         let waiters = (old & (DONE_BIT - 1)) as u32;
         debug_assert!(waiters <= e.consumers);
         let mut resumed: Vec<VThread> = Vec::with_capacity(waiters as usize);
-        // Pipelined: the per-waiter stack copies are independent payloads
-        // from distinct saved contexts — collect them and post the whole
-        // sweep under one fence instead of paying each round trip serially.
-        let mut sweep: Vec<(usize, usize)> = Vec::new();
+        // The per-waiter stack copies are independent payloads from
+        // distinct saved contexts: collected here, posted as one group
+        // below.
+        let mut sweep: Vec<(usize, usize)> = Vec::with_capacity(waiters as usize);
         if waiters > 0 {
             // One bulk get covers the ctxloc slot array.
             cost += world
@@ -254,11 +254,7 @@ impl Worker {
                 if self.scheme == AddressScheme::Uni && th.home.is_some() {
                     world.rt.per[saved.owner].evac.restore(saved.stack_bytes as u64);
                 }
-                if self.fabric == FabricMode::Pipelined {
-                    sweep.push((saved.owner, saved.stack_bytes));
-                } else {
-                    cost += world.m.get_bulk(self.me, saved.owner, saved.stack_bytes);
-                }
+                sweep.push((saved.owner, saved.stack_bytes));
                 cost += free_robj(
                     &mut world.m,
                     &mut world.rt.per[saved.owner],
@@ -299,19 +295,18 @@ impl Worker {
                 cost += self.free_entry_here(world, e);
             }
             if !sweep.is_empty() {
-                // Post the batched stack copies only after all blocking
-                // traffic to the saved owners (free_robj above) is done, so
-                // the in-order clamp never penalises a blocking wrapper.
-                let post_at = at + cost;
-                // The whole sweep rides one doorbell: the first copy pays
-                // the full injection, the rest the chained fraction.
-                world.m.chain_begin(self.me);
+                // Posted only after all blocking traffic to the saved
+                // owners (free_robj above) is done, so the in-order clamp
+                // never penalises a blocking wrapper. Overlapped, the
+                // sweep rides one doorbell: the first copy pays the full
+                // injection, the rest the chained fraction.
+                let mut g = world
+                    .m
+                    .group(self.me, at + cost, Doorbell::ChainedWhenOverlapped);
                 for &(owner, bytes) in &sweep {
-                    world.m.post_get_bulk(self.me, owner, bytes, post_at);
+                    g.get_bulk(&mut world.m, owner, bytes);
                 }
-                world.m.chain_end(self.me);
-                let fin = world.m.fence(self.me, post_at);
-                cost += fin.saturating_sub(post_at);
+                cost += g.fence(&mut world.m);
             }
         }
         // Resume one immediately (greedy), enqueue the rest as stealable

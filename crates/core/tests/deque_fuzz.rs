@@ -122,7 +122,7 @@ proptest! {
                     if lock_holder != Some(t) {
                         continue; // this thief does not hold the lock
                     }
-                    let take = thief_take(&mut m, &mut items, &lay, 1 + t as usize, 0);
+                    let take = thief_take(&mut m, &mut items, &lay, 1 + t as usize, 0, None);
                     lock_holder = None;
                     prop_assert!(take.is_ok(), "dead slot under a healthy schedule");
                     let (got, _) = take.unwrap();
@@ -144,7 +144,7 @@ proptest! {
 
         // Drain: everything still resident must come back out exactly once.
         if lock_holder.is_some() {
-            let _ = thief_take(&mut m, &mut items, &lay, 1, 0).unwrap();
+            let _ = thief_take(&mut m, &mut items, &lay, 1, 0, None).unwrap();
             if let Some(expect) = (!resident.is_empty()).then(|| resident.remove(0)) {
                 seen[expect as usize] = true;
             }
