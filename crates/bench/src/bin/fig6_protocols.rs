@@ -1,12 +1,11 @@
-//! Fig. 6 companion — the three steal-protocol families head-to-head on
+//! Fig. 6 companion — the two steal-protocol families head-to-head on
 //! RecPFor (ITO-A).
 //!
-//! The deque hot path comes in three flavours (docs/PROTOCOLS.md):
+//! The deque hot path comes in two flavours (docs/PROTOCOLS.md):
 //!
 //! * `cas-lock`   — thieves serialize on a per-deque lock word (CAS to
-//!   acquire, put to release); the baseline everywhere else in the repo,
-//! * `lock-free`  — thieves claim the top entry with a single remote CAS,
-//!   no lock word, owner CAS only for the last-item race,
+//!   acquire, put to release); the paper's protocol and the baseline
+//!   everywhere else in the repo,
 //! * `fence-free` — thieves use plain reads and writes only (zero AMO
 //!   verbs on the steal path); the resulting bounded multiplicity is
 //!   closed at runtime by the done-flag/lineage dedup, so a doubly-taken
@@ -199,7 +198,7 @@ fn main() {
     }
 
     println!("CSV written to {}", csv.path());
-    println!("Expected shape: lock-free shaves the lock round-trips off every");
-    println!("steal; fence-free trades the last AMO for a small dup/lost-race");
-    println!("tax that the done-flag dedup absorbs without a second execution.");
+    println!("Expected shape: fence-free drops the lock round-trips and every");
+    println!("steal-path AMO for a small dup/lost-race tax that the done-flag");
+    println!("dedup absorbs without a second execution.");
 }

@@ -6,7 +6,7 @@
 //! | binary          | reproduces |
 //! |-----------------|------------|
 //! | `fig6`          | Fig. 6 — PFor/RecPFor parallel efficiency across join/steal strategies |
-//! | `fig6_protocols`| Fig. 6 companion — cas-lock vs. lock-free vs. fence-free steal protocols |
+//! | `fig6_protocols`| Fig. 6 companion — cas-lock vs. fence-free steal protocols |
 //! | `table2`        | Table II — join & steal statistics |
 //! | `fig7`          | Fig. 7 — busy-worker / ready-join time series |
 //! | `fig8`          | Fig. 8 — UTS throughput scaling vs. BoT runtimes (ITO-A) |

@@ -1969,8 +1969,7 @@ pub fn catalog(workers: usize, seed: u64) -> Vec<Scenario> {
     ));
     // Fence-free termination: a full fork-join tree must drain, terminate
     // and pass the end-of-run leak oracles (finalize reclaims thief-claimed
-    // slots) under every explored schedule — in both fabric modes, and
-    // under the lock-free family for contrast.
+    // slots) under every explored schedule — in both fabric modes.
     v.push(runtime_scenario(
         "fence-free-term".to_string(),
         workers,
@@ -1994,21 +1993,6 @@ pub fn catalog(workers: usize, seed: u64) -> Vec<Scenario> {
         FreeStrategy::LocalCollection,
         FabricMode::Pipelined,
         Protocol::FenceFree,
-        1,
-        ProgSpec {
-            root: fib,
-            arg: 8,
-            expected: 21,
-        },
-    ));
-    v.push(runtime_scenario(
-        "lock-free-term".to_string(),
-        workers,
-        seed,
-        Policy::ContGreedy,
-        FreeStrategy::LocalCollection,
-        FabricMode::Blocking,
-        Protocol::LockFree,
         1,
         ProgSpec {
             root: fib,

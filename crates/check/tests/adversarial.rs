@@ -299,7 +299,7 @@ fn broken_claim_is_caught_minimized_and_replayable() {
 /// The full runtime stealing fence-free: the one-item Fig. 4 race under
 /// every policy, and fork-join termination in both fabric modes (finalize
 /// must reclaim thief-claimed slots on every schedule or the leak oracle
-/// fires). The lock-free family rides along for contrast.
+/// fires).
 #[test]
 fn fence_free_runtime_survives_exploration() {
     for name in [
@@ -318,7 +318,7 @@ fn fence_free_runtime_survives_exploration() {
             out.findings[0].violations
         );
     }
-    for name in ["fence-free-term", "fence-free-term-pipelined", "lock-free-term"] {
+    for name in ["fence-free-term", "fence-free-term-pipelined"] {
         let s = by_name(name, 2, 1).expect("scenario exists");
         let out = explore_exhaustive(&|c| s.run_choices(c), 1, 10_000);
         assert!(out.complete, "{name}: delay-1 space must fit the budget");
@@ -545,11 +545,7 @@ fn multi_steal_ff_survives_exhaustive_exploration() {
 /// delay-1 interleaving at 2 workers and across a PCT sample at 3, with
 /// the leak/stall oracles green — the end-to-end proof that abandoning a
 /// ready victim never strands its lock or its items.
-const MULTI_STEAL_RUNTIME: [&str; 3] = [
-    "multi-steal:cas-lock",
-    "multi-steal:lock-free",
-    "multi-steal:fence-free",
-];
+const MULTI_STEAL_RUNTIME: [&str; 2] = ["multi-steal:cas-lock", "multi-steal:fence-free"];
 
 #[test]
 fn multi_steal_runtime_survives_exploration() {

@@ -121,7 +121,7 @@ pub struct RunArgs {
     pub fault: FaultPlan,
     /// One-sided verb issue model (blocking, or posted with overlap).
     pub fabric: FabricMode,
-    /// Steal-protocol family (CAS-lock, lock-free, or fence-free).
+    /// Steal-protocol family (CAS-lock or fence-free).
     pub protocol: Protocol,
     /// Steal attempts kept in flight at once while idle (`--multi-steal`).
     pub multi_steal: u32,
@@ -204,11 +204,10 @@ fn parse_fabric(s: &str) -> Result<FabricMode, String> {
 fn parse_protocol(s: &str) -> Result<Protocol, String> {
     Ok(match s {
         "cas-lock" => Protocol::CasLock,
-        "lock-free" => Protocol::LockFree,
         "fence-free" => Protocol::FenceFree,
         other => {
             return Err(format!(
-                "unknown steal protocol '{other}' (cas-lock|lock-free|fence-free)"
+                "unknown steal protocol '{other}' (cas-lock|fence-free)"
             ))
         }
     })
@@ -891,9 +890,8 @@ FLAGS (run & sweep):
                        posts independent verbs back-to-back and reaps
                        completions (same memory semantics, shorter critical
                        paths)
-    --protocol <cas-lock|lock-free|fence-free>    steal protocol     [cas-lock]
+    --protocol <cas-lock|fence-free>              steal protocol     [cas-lock]
                        cas-lock serializes steals with a per-deque lock;
-                       lock-free claims entries with a single remote CAS;
                        fence-free uses plain reads/writes only (zero AMO
                        verbs) with bounded multiplicity closed by the
                        done-flag dedup — a doubly-taken task executes once
@@ -1041,6 +1039,12 @@ mod tests {
         assert!(parse(&argv("run --multi-steal x")).is_err());
         assert!(parse(&argv("run --doorbell 1.5")).is_err(), "fraction > 1");
         assert!(parse(&argv("run --doorbell -0.1")).is_err(), "negative fraction");
+    }
+
+    #[test]
+    fn rejects_the_deleted_lock_free_protocol() {
+        let err = parse(&argv("run --protocol lock-free")).unwrap_err();
+        assert!(err.contains("cas-lock|fence-free"), "{err}");
     }
 
     #[test]

@@ -7,14 +7,11 @@
 //! *bottom* end at local cost; thieves operate on the *top* (oldest) end so
 //! the task with the most expected work is stolen (§II).
 //!
-//! Three steal-protocol families share this ring (selected by
+//! Two steal-protocol families share this ring (selected by
 //! [`crate::policy::Protocol`]):
 //!
 //! * **CAS-lock** (`owner_*` / `thief_*`, the paper's baseline) — a lock
 //!   word serializes thieves and gates owner operations;
-//! * **lock-free** (`lf_*`, ABP/Chase-Lev style) — no lock word; a thief
-//!   claims the oldest task with one CAS on `top`, the owner resolves the
-//!   last-item race with an owner-local CAS;
 //! * **fence-free** (`ff_*`) — plain reads/writes only, with *bounded
 //!   multiplicity*: a task may be taken more than once, and the shared
 //!   [`ClaimSet`] guarantees it executes at most once (see the module doc
@@ -384,7 +381,7 @@ pub fn thief_release_lock(
 }
 
 // ----------------------------------------------------------------------
-// Shared thief helper (lock-free + fence-free families)
+// Unlocked thief bounds read (fence-free family)
 // ----------------------------------------------------------------------
 
 /// Thief-side bounds read without a lock: one span get covers the adjacent
@@ -399,173 +396,6 @@ pub fn thief_read_bounds(
 ) -> ((u64, u64), VTime) {
     let ([top, bottom], cost) = m.get_u64_span::<2>(me, word(lay, victim, DQ_TOP));
     ((top, bottom), cost)
-}
-
-// ----------------------------------------------------------------------
-// Lock-free family (ABP / Chase-Lev style): no lock word, one CAS on
-// `top` per steal, an owner-local CAS only on the last-item race.
-// ----------------------------------------------------------------------
-
-/// Lock-free owner push: identical ring writes to [`owner_push`], but with
-/// no lock to probe — the owner can never be blocked by a thief.
-pub fn lf_owner_push(
-    m: &mut Machine,
-    items: &mut Slab<QueueItem>,
-    lay: &SegLayout,
-    me: WorkerId,
-    item: QueueItem,
-) -> VTime {
-    let cost = m.local_op(me);
-    let top = m.read_own(me, word(lay, me, DQ_TOP));
-    let bottom = m.read_own(me, word(lay, me, DQ_BOTTOM));
-    assert!(
-        bottom - top < lay.deque_cap as u64,
-        "deque overflow (cap {}): nesting deeper than configured",
-        lay.deque_cap
-    );
-    let size = item.wire_size();
-    let key = items.insert(item);
-    let slot = GlobalAddr::new(me, lay.dq_slot(bottom));
-    m.write_own(me, slot, key as u64 + 1);
-    m.write_own(me, slot.field(1), size as u64);
-    m.write_own(me, word(lay, me, DQ_BOTTOM), bottom + 1);
-    cost
-}
-
-/// Lock-free owner pop. Plain take except on the *last* item, where the
-/// owner races thieves with a CAS on its own `top` (a cheap local atomic).
-/// Engine steps are atomic, so a thief's claim either fully precedes this
-/// pop (the owner then observes `top == bottom`, empty) or fully follows
-/// it (the thief's CAS fails); the owner's CAS is charged because the real
-/// protocol cannot know that, but it never loses here.
-pub fn lf_owner_pop(
-    m: &mut Machine,
-    items: &mut Slab<QueueItem>,
-    lay: &SegLayout,
-    me: WorkerId,
-) -> Result<(Option<QueueItem>, VTime), DequeError> {
-    let mut cost = m.local_op(me);
-    let top = m.read_own(me, word(lay, me, DQ_TOP));
-    let bottom = m.read_own(me, word(lay, me, DQ_BOTTOM));
-    if top == bottom {
-        return Ok((None, cost));
-    }
-    let b = bottom - 1;
-    let slot = GlobalAddr::new(me, lay.dq_slot(b));
-    let keyp1 = m.read_own(me, slot);
-    let dead = |cost| {
-        Err(DequeError::Dead(DeadSlot {
-            op: "lf_owner_pop",
-            index: b,
-            cost,
-        }))
-    };
-    if keyp1 == 0 {
-        return dead(cost);
-    }
-    if b == top {
-        // Last item: decide it with the top CAS before touching the slot.
-        let (seen, c) = m.cas_u64(me, word(lay, me, DQ_TOP), top, top + 1);
-        cost += c;
-        m.write_own(me, word(lay, me, DQ_BOTTOM), top + 1);
-        if seen != top {
-            return Ok((None, cost));
-        }
-    } else {
-        m.write_own(me, word(lay, me, DQ_BOTTOM), b);
-    }
-    let Some(item) = items.try_take((keyp1 - 1) as u32) else {
-        return dead(cost);
-    };
-    m.write_own(me, slot, 0);
-    Ok((Some(item), cost))
-}
-
-/// Lock-free variant of [`owner_pop_parent`]: peek the bottom item first;
-/// only a parent match pays the pop (including the last-item CAS).
-pub fn lf_owner_pop_parent(
-    m: &mut Machine,
-    items: &mut Slab<QueueItem>,
-    lay: &SegLayout,
-    me: WorkerId,
-    e: GlobalAddr,
-) -> Result<(Option<QueueItem>, VTime), DequeError> {
-    let mut cost = m.local_op(me);
-    let top = m.read_own(me, word(lay, me, DQ_TOP));
-    let bottom = m.read_own(me, word(lay, me, DQ_BOTTOM));
-    if top == bottom {
-        return Ok((None, cost));
-    }
-    let b = bottom - 1;
-    let slot = GlobalAddr::new(me, lay.dq_slot(b));
-    let keyp1 = m.read_own(me, slot);
-    if keyp1 == 0 {
-        return Err(DequeError::Dead(DeadSlot {
-            op: "lf_owner_pop_parent",
-            index: b,
-            cost,
-        }));
-    }
-    let key = (keyp1 - 1) as u32;
-    let is_parent = matches!(
-        items.get(key),
-        Some(QueueItem::Cont { spawned_child, .. }) if *spawned_child == e
-    );
-    if !is_parent {
-        return Ok((None, cost));
-    }
-    if b == top {
-        let (seen, c) = m.cas_u64(me, word(lay, me, DQ_TOP), top, top + 1);
-        cost += c;
-        m.write_own(me, word(lay, me, DQ_BOTTOM), top + 1);
-        if seen != top {
-            return Ok((None, cost));
-        }
-    } else {
-        m.write_own(me, word(lay, me, DQ_BOTTOM), b);
-    }
-    let item = items.take(key);
-    m.write_own(me, slot, 0);
-    Ok((Some(item), cost))
-}
-
-/// Lock-free thief claim (the second thief step, after a bounds read saw
-/// `top < bottom`): read the entry at `top` and CAS `top → top+1`. A lost
-/// CAS is a benign failed steal (`Ok(None)`); a won CAS guarantees the
-/// slot was live (step atomicity + owner discipline), so a dead decode is
-/// a typed protocol violation. The payload transfer is charged by the
-/// caller.
-pub fn lf_thief_claim(
-    m: &mut Machine,
-    victim_items: &mut Slab<QueueItem>,
-    lay: &SegLayout,
-    me: WorkerId,
-    victim: WorkerId,
-    top: u64,
-) -> Result<(Option<(QueueItem, usize)>, VTime), DeadSlot> {
-    debug_assert_ne!(me, victim, "stealing from self");
-    let slot = GlobalAddr::new(victim, lay.dq_slot(top));
-    let ([keyp1, size], mut cost) = m.get_u64_span::<2>(me, slot);
-    let (seen, c_cas) = m.cas_u64(me, word(lay, victim, DQ_TOP), top, top + 1);
-    cost += c_cas;
-    if seen != top {
-        return Ok((None, cost));
-    }
-    let dead = |cost| {
-        Err(DeadSlot {
-            op: "lf_thief_claim",
-            index: top,
-            cost,
-        })
-    };
-    if keyp1 == 0 {
-        return dead(cost);
-    }
-    let Some(item) = victim_items.try_take((keyp1 - 1) as u32) else {
-        return dead(cost);
-    };
-    m.post_put_u64_unsignaled(me, slot, 0);
-    Ok((Some((item, size as usize)), cost))
 }
 
 // ----------------------------------------------------------------------
@@ -1126,7 +956,7 @@ mod tests {
     fn wrong_release_order_exposes_dead_slot_window() {
         // Recompose the steal with the lock released *before* the bounds
         // advance — the historical ordering. An owner pop landing in that
-        // window sees lock-free bounds covering a zeroed slot: exactly the
+        // window sees unlocked bounds covering a zeroed slot: exactly the
         // dead-slot window `dcs-check` must flush out.
         let (mut m, mut items, lay) = setup();
         owner_push(&mut m, &mut items, &lay, 0, child_item(5)).unwrap();
@@ -1147,83 +977,6 @@ mod tests {
         thief_advance_top(&mut m, &lay, 1, 0, top + 1);
         let (none, _) = owner_pop(&mut m, &mut items, &lay, 0).unwrap();
         assert!(none.is_none());
-    }
-
-    // -- lock-free family -------------------------------------------------
-
-    #[test]
-    fn lf_push_pop_is_lifo_and_steal_is_fifo() {
-        let (mut m, mut items, lay) = setup();
-        for i in 0..3 {
-            lf_owner_push(&mut m, &mut items, &lay, 0, child_item(i));
-        }
-        // Thief: bounds read (one span verb), then claim the oldest.
-        let ((top, bottom), _) = thief_read_bounds(&mut m, &lay, 1, 0);
-        assert_eq!((top, bottom), (0, 3));
-        let (got, _) = lf_thief_claim(&mut m, &mut items, &lay, 1, 0, top).unwrap();
-        let (item, size) = got.unwrap();
-        assert_eq!(tag_of(&item), 0, "steals take the oldest task");
-        assert_eq!(size, item.wire_size());
-        // Owner pops LIFO, unaffected — and never sees Busy.
-        let (it, _) = lf_owner_pop(&mut m, &mut items, &lay, 0).unwrap();
-        assert_eq!(tag_of(&it.unwrap()), 2);
-        let (it, _) = lf_owner_pop(&mut m, &mut items, &lay, 0).unwrap();
-        assert_eq!(tag_of(&it.unwrap()), 1);
-        let (none, _) = lf_owner_pop(&mut m, &mut items, &lay, 0).unwrap();
-        assert!(none.is_none());
-        assert!(items.is_empty());
-    }
-
-    #[test]
-    fn lf_last_item_race_is_decided_by_the_top_cas() {
-        let (mut m, mut items, lay) = setup();
-        lf_owner_push(&mut m, &mut items, &lay, 0, child_item(7));
-        // Thief reads bounds, then the owner pops the last item first: the
-        // owner's top CAS wins, so the thief's stale claim must lose.
-        let ((top, _), _) = thief_read_bounds(&mut m, &lay, 1, 0);
-        let (it, _) = lf_owner_pop(&mut m, &mut items, &lay, 0).unwrap();
-        assert_eq!(tag_of(&it.unwrap()), 7);
-        let (got, _) = lf_thief_claim(&mut m, &mut items, &lay, 1, 0, top).unwrap();
-        assert!(got.is_none(), "stale claim loses the CAS, benignly");
-        assert!(items.is_empty());
-        // And the other order: the thief claims first, the owner then sees
-        // an empty deque (top == bottom after the claim's CAS).
-        lf_owner_push(&mut m, &mut items, &lay, 0, child_item(8));
-        let ((top, _), _) = thief_read_bounds(&mut m, &lay, 1, 0);
-        let (got, _) = lf_thief_claim(&mut m, &mut items, &lay, 1, 0, top).unwrap();
-        assert_eq!(tag_of(&got.unwrap().0), 8);
-        let (none, _) = lf_owner_pop(&mut m, &mut items, &lay, 0).unwrap();
-        assert!(none.is_none());
-    }
-
-    #[test]
-    fn lf_pop_parent_matches_only_spawned_child() {
-        let (mut m, mut items, lay) = setup();
-        let e1 = GlobalAddr::new(0, 0x100);
-        let e2 = GlobalAddr::new(0, 0x200);
-        lf_owner_push(&mut m, &mut items, &lay, 0, cont_item(1, e1));
-        let (none, _) = lf_owner_pop_parent(&mut m, &mut items, &lay, 0, e2).unwrap();
-        assert!(none.is_none());
-        let (some, _) = lf_owner_pop_parent(&mut m, &mut items, &lay, 0, e1).unwrap();
-        assert_eq!(tag_of(&some.unwrap()), 1);
-        assert!(items.is_empty());
-    }
-
-    #[test]
-    fn lf_dead_slot_is_a_typed_error() {
-        let (mut m, mut items, lay) = setup();
-        lf_owner_push(&mut m, &mut items, &lay, 0, child_item(3));
-        let slot = GlobalAddr::new(0, lay.dq_slot(0));
-        m.write_own(0, slot, 0);
-        assert!(matches!(
-            lf_owner_pop(&mut m, &mut items, &lay, 0),
-            Err(DequeError::Dead(DeadSlot { op: "lf_owner_pop", index: 0, .. }))
-        ));
-        // Restore a stale (dangling) key: the thief wins its CAS but the
-        // payload is gone — typed, not a slab panic.
-        m.write_own(0, slot, 77 + 1);
-        let d = lf_thief_claim(&mut m, &mut items, &lay, 1, 0, 0).unwrap_err();
-        assert_eq!((d.op, d.index), ("lf_thief_claim", 0));
     }
 
     // -- fence-free family ------------------------------------------------

@@ -65,10 +65,6 @@ pub enum Protocol {
     /// The paper's baseline: a CAS lock word serializes thieves and gates
     /// owner operations; every steal pays an AMO round trip to acquire it.
     CasLock,
-    /// ABP/Chase-Lev-style lock-free: no lock word; the thief claims a
-    /// task with a single CAS on `top`, the owner resolves the last-item
-    /// race with an owner-local CAS. One AMO per steal, none per push.
-    LockFree,
     /// Fully read/write fence-free stealing with multiplicity: both owner
     /// and thief use only plain gets/puts — no AMO verbs at all. A task
     /// may rarely be *taken* more than once (bounded multiplicity ≤ the
@@ -82,17 +78,11 @@ impl Protocol {
     pub fn label(self) -> &'static str {
         match self {
             Protocol::CasLock => "cas-lock",
-            Protocol::LockFree => "lock-free",
             Protocol::FenceFree => "fence-free",
         }
     }
 
-    /// Does the steal path issue any AMO verbs?
-    pub fn uses_amo(self) -> bool {
-        !matches!(self, Protocol::FenceFree)
-    }
-
-    pub const ALL: [Protocol; 3] = [Protocol::CasLock, Protocol::LockFree, Protocol::FenceFree];
+    pub const ALL: [Protocol; 2] = [Protocol::CasLock, Protocol::FenceFree];
 }
 
 /// Remote-object memory management strategy (§III-B).
@@ -409,13 +399,9 @@ mod tests {
 
     #[test]
     fn protocol_families() {
-        assert_eq!(Protocol::ALL.len(), 3);
+        assert_eq!(Protocol::ALL.len(), 2);
         assert_eq!(Protocol::CasLock.label(), "cas-lock");
-        assert_eq!(Protocol::LockFree.label(), "lock-free");
         assert_eq!(Protocol::FenceFree.label(), "fence-free");
-        assert!(Protocol::CasLock.uses_amo());
-        assert!(Protocol::LockFree.uses_amo());
-        assert!(!Protocol::FenceFree.uses_amo());
         assert_eq!(
             RunConfig::new(1, Policy::ContGreedy).protocol,
             Protocol::CasLock,

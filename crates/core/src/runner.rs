@@ -955,7 +955,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // steal-protocol families (CAS-lock / lock-free / fence-free)
+    // steal-protocol families (CAS-lock / fence-free)
     // ------------------------------------------------------------------
 
     use crate::policy::Protocol;
@@ -989,22 +989,21 @@ mod tests {
 
     #[test]
     fn non_default_protocols_steal_without_the_deque_lock() {
-        for protocol in [Protocol::LockFree, Protocol::FenceFree] {
-            let r = run(
-                proto_cfg(protocol, Policy::ContGreedy, 4),
-                Program::new(fib, 14u64),
-            );
-            assert_eq!(r.result.as_u64(), fib_serial(14), "{protocol:?}");
-            assert!(r.stats.steals_ok > 0, "{protocol:?}: expected steals");
-        }
+        let protocol = Protocol::FenceFree;
+        let r = run(
+            proto_cfg(protocol, Policy::ContGreedy, 4),
+            Program::new(fib, 14u64),
+        );
+        assert_eq!(r.result.as_u64(), fib_serial(14), "{protocol:?}");
+        assert!(r.stats.steals_ok > 0, "{protocol:?}: expected steals");
     }
 
     #[test]
     fn fence_free_issues_zero_amo_verbs() {
-        // The headline property of the third family: with the CAS lock gone
-        // from the steal path and no other AMO user in the configuration
-        // (single-consumer joins, local-collection frees, run-to-completion
-        // children), the whole run is read/write-only.
+        // The headline property of the fence-free family: with the CAS lock
+        // gone from the steal path and no other AMO user in the
+        // configuration (single-consumer joins, local-collection frees,
+        // run-to-completion children), the whole run is read/write-only.
         let r = run(
             proto_cfg(Protocol::FenceFree, Policy::ChildRtc, 4),
             Program::new(fib, 14u64),
@@ -1015,14 +1014,13 @@ mod tests {
             r.fabric.remote_amos, 0,
             "fence-free steals must not issue AMO verbs"
         );
-        // The same run under the other families pays for its atomics.
-        for protocol in [Protocol::CasLock, Protocol::LockFree] {
-            let r = run(
-                proto_cfg(protocol, Policy::ChildRtc, 4),
-                Program::new(fib, 14u64),
-            );
-            assert!(r.fabric.remote_amos > 0, "{protocol:?} steals use AMOs");
-        }
+        // The same run under CAS-lock pays for its atomics.
+        let protocol = Protocol::CasLock;
+        let r = run(
+            proto_cfg(protocol, Policy::ChildRtc, 4),
+            Program::new(fib, 14u64),
+        );
+        assert!(r.fabric.remote_amos > 0, "{protocol:?} steals use AMOs");
     }
 
     #[test]
@@ -1049,70 +1047,66 @@ mod tests {
 
     #[test]
     fn ff_counters_are_zero_under_the_other_families() {
-        for protocol in [Protocol::CasLock, Protocol::LockFree] {
-            let r = run(
-                proto_cfg(protocol, Policy::ContGreedy, 4),
-                Program::new(fib, 13u64),
-            );
-            assert_eq!(r.stats.ff_dups, 0, "{protocol:?}");
-            assert_eq!(r.stats.ff_lost_races, 0, "{protocol:?}");
-        }
+        let protocol = Protocol::CasLock;
+        let r = run(
+            proto_cfg(protocol, Policy::ContGreedy, 4),
+            Program::new(fib, 13u64),
+        );
+        assert_eq!(r.stats.ff_dups, 0, "{protocol:?}");
+        assert_eq!(r.stats.ff_lost_races, 0, "{protocol:?}");
     }
 
     #[test]
     fn protocols_are_deterministic() {
-        for protocol in [Protocol::LockFree, Protocol::FenceFree] {
-            let go = || {
-                run(
-                    proto_cfg(protocol, Policy::ContGreedy, 4),
-                    Program::new(fib, 13u64),
-                )
-            };
-            let (a, b) = (go(), go());
-            assert_eq!(a.elapsed, b.elapsed, "{protocol:?}");
-            assert_eq!(a.steps, b.steps, "{protocol:?}");
-            assert_eq!(a.fabric, b.fabric, "{protocol:?}");
-        }
+        let protocol = Protocol::FenceFree;
+        let go = || {
+            run(
+                proto_cfg(protocol, Policy::ContGreedy, 4),
+                Program::new(fib, 13u64),
+            )
+        };
+        let (a, b) = (go(), go());
+        assert_eq!(a.elapsed, b.elapsed, "{protocol:?}");
+        assert_eq!(a.steps, b.steps, "{protocol:?}");
+        assert_eq!(a.fabric, b.fabric, "{protocol:?}");
     }
 
     #[test]
     fn protocols_survive_transient_faults() {
         use dcs_sim::FaultPlan;
-        for protocol in [Protocol::LockFree, Protocol::FenceFree] {
-            for policy in Policy::ALL {
-                let cfg = proto_cfg(protocol, policy, 4)
-                    .with_fault_plan(FaultPlan::transient(0.02, 7));
-                let r = run(cfg, Program::new(fib, 12u64));
-                assert_eq!(r.result.as_u64(), fib_serial(12), "{protocol:?} {policy:?}");
-                let wd = r.watchdog.expect("fault runs carry a watchdog");
-                assert!(wd.is_clean(), "{protocol:?} {policy:?}: {wd}");
-            }
+        let protocol = Protocol::FenceFree;
+        for policy in Policy::ALL {
+            let cfg = proto_cfg(protocol, policy, 4)
+                .with_fault_plan(FaultPlan::transient(0.02, 7));
+            let r = run(cfg, Program::new(fib, 12u64));
+            assert_eq!(r.result.as_u64(), fib_serial(12), "{protocol:?} {policy:?}");
+            let wd = r.watchdog.expect("fault runs carry a watchdog");
+            assert!(wd.is_clean(), "{protocol:?} {policy:?}: {wd}");
         }
     }
 
     #[test]
     fn protocols_recover_from_fail_stop_kill() {
         use dcs_sim::FaultPlan;
-        for protocol in [Protocol::LockFree, Protocol::FenceFree] {
-            for policy in [Policy::ChildRtc, Policy::ContGreedy, Policy::ContStalling] {
-                let healthy = run(
-                    kill_cfg(policy, FaultPlan::none()).with_protocol(protocol),
-                    Program::new(fib, 14u64),
+        let protocol = Protocol::FenceFree;
+        for policy in [Policy::ChildRtc, Policy::ContGreedy, Policy::ContStalling] {
+            let healthy = run(
+                kill_cfg(policy, FaultPlan::none()).with_protocol(protocol),
+                Program::new(fib, 14u64),
+            );
+            let want = fib_serial(14);
+            for frac in [4u64, 2, 1] {
+                let t = healthy.elapsed / (frac + 1) * frac / 2;
+                let cfg = kill_cfg(policy, FaultPlan::none().with_kill(1, t))
+                    .with_protocol(protocol);
+                let r = run(cfg, Program::new(fib, 14u64));
+                assert_eq!(
+                    r.outcome,
+                    RunOutcome::Complete,
+                    "{protocol:?} {policy:?} kill at {t}"
                 );
-                let want = fib_serial(14);
-                for frac in [4u64, 2, 1] {
-                    let t = healthy.elapsed / (frac + 1) * frac / 2;
-                    let cfg = kill_cfg(policy, FaultPlan::none().with_kill(1, t))
-                        .with_protocol(protocol);
-                    let r = run(cfg, Program::new(fib, 14u64));
-                    assert_eq!(
-                        r.outcome,
-                        RunOutcome::Complete,
-                        "{protocol:?} {policy:?} kill at {t}"
-                    );
-                    assert_eq!(r.result.as_u64(), want, "{protocol:?} {policy:?} kill at {t}");
-                    assert_eq!(r.stats.workers_lost, 1, "{protocol:?} {policy:?} kill at {t}");
-                }
+                assert_eq!(r.result.as_u64(), want, "{protocol:?} {policy:?} kill at {t}");
+                assert_eq!(r.stats.workers_lost, 1, "{protocol:?} {policy:?} kill at {t}");
             }
         }
     }

@@ -10,7 +10,7 @@ impl Worker {
 
     pub(crate) fn step_run(&mut self, now: VTime, world: &mut World) -> Step {
         if self.pending.is_none() {
-            let eff = self.advance_cur(now, world);
+            let eff = self.advance_cur(now);
             self.pending = Some(PendingOp::Effect(eff));
         }
         match self.apply_pending(now, world) {
@@ -277,7 +277,7 @@ impl Worker {
     ) -> Result<VTime, (TaskFn, Value, u32, Box<dyn Frame>, Busy)> {
         // The push must succeed before any side effect; under CAS-lock,
         // probe the deque lock first so a Busy retry is side-effect free
-        // (the lock-free and fence-free owners can never be blocked).
+        // (the fence-free owner can never be blocked).
         if self.needs_lock_probe() {
             let (lock, _) = world
                 .m

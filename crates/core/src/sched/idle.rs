@@ -428,16 +428,16 @@ impl Worker {
                         }
                         return self.steal_missed(now, world, cost + c_lock);
                     }
-                    // Lock-free / fence-free step 1: a plain bounds read
-                    // (one span get, no lock, no atomic). The claim runs
-                    // next step, leaving the real protocols' race window
-                    // open between the two.
+                    // Fence-free step 1: a plain bounds read (one span
+                    // get, no lock, no atomic). The claim runs next step,
+                    // leaving the real protocol's race window open
+                    // between the two.
                     let ((top, bottom), c_bounds) =
                         thief_read_bounds(&mut world.m, &self.lay, self.me, victim);
                     let faults = world.m.take_faults(self.me);
                     self.note_victim_faults(victim, faults, now);
                     // Fence-free `top` is a hint that can momentarily
-                    // exceed `bottom`; both families treat that as empty.
+                    // exceed `bottom`; treat that as empty.
                     if top < bottom {
                         self.state = WState::StealClaim {
                             victim,
@@ -472,8 +472,8 @@ impl Worker {
     ///   reuses them (one small-get round trip saved). A won-but-unused
     ///   lock (ring order lost, or empty deque) is always released
     ///   immediately with an unsignaled put.
-    /// * **lock-free / fence-free** — one chained bounds span get per
-    ///   victim; losers' reads are simply dropped (nothing to cancel).
+    /// * **fence-free** — one chained bounds span get per victim;
+    ///   losers' reads are simply dropped (nothing to cancel).
     ///   The winner proceeds through the ordinary [`WState::StealClaim`]
     ///   step, so a fence-free ticket is claimed for the ring's single
     ///   winner at most — and the shared ClaimSet arbitrates races with
@@ -829,7 +829,7 @@ impl Worker {
         }
     }
 
-    /// Commit a won take or claim, shared by the three protocols: `g` is
+    /// Commit a won take or claim, shared by both protocols: `g` is
     /// the protocol's commit group, holding its own release (CAS-lock) or
     /// claim-write (fence-free). Record the steal lineage, add the
     /// checkpoint put and the payload transfer, and adopt the item — in
@@ -897,10 +897,13 @@ impl Worker {
         Step::Yield(cost + c_post + c2)
     }
 
-    /// Complete a lock-free / fence-free steal whose bounds read saw
-    /// `top < bottom` last step. The cross-step window since that read is
-    /// where the races live: the slot may have been consumed (CAS loss /
-    /// validation miss) or — fence-free only — already claimed (a dup).
+    /// Complete a fence-free steal whose bounds read saw `top < bottom`
+    /// last step: entry span read (plain get), host-side ticket
+    /// arbitration, then a plain claim-write of the `top` hint — no atomic
+    /// anywhere. The cross-step window since the bounds read is where the
+    /// races live: a `Lost` race (slot consumed or reused) costs only the
+    /// span read; a `Dup` (already claimed) pays the wasted payload
+    /// transfer and discards.
     pub(crate) fn step_steal_claim(
         &mut self,
         now: VTime,
@@ -914,60 +917,6 @@ impl Worker {
             return step;
         }
         self.state = WState::Idle;
-        match self.protocol {
-            Protocol::LockFree => self.step_steal_claim_lf(now, world, victim, top, t0),
-            Protocol::FenceFree => self.step_steal_claim_ff(now, world, victim, top, t0),
-            Protocol::CasLock => unreachable!("claim step under the CAS-lock protocol"),
-        }
-    }
-
-    /// Lock-free claim: entry read + one CAS on the victim's `top`. A lost
-    /// CAS is a benign failed steal; a won CAS commits the take with an
-    /// empty commit group (the CAS already committed; the payload get
-    /// depends on its outcome, so there is nothing to overlap it with).
-    fn step_steal_claim_lf(
-        &mut self,
-        now: VTime,
-        world: &mut World,
-        victim: WorkerId,
-        top: u64,
-        t0: VTime,
-    ) -> Step {
-        let took = {
-            let (_me_ws, victim_ws) = world.rt.two(self.me, victim);
-            lf_thief_claim(&mut world.m, &mut victim_ws.items, &self.lay, self.me, victim, top)
-        };
-        let (got, cost) = match took {
-            Ok(x) => x,
-            Err(d) => {
-                // The victim's deque (not ours) held the corpse.
-                self.deque_violation(world, victim, &d);
-                (None, d.cost)
-            }
-        };
-        let faults = world.m.take_faults(self.me);
-        self.note_victim_faults(victim, faults, now);
-        match got {
-            None => self.steal_missed(now, world, cost),
-            Some((item, size)) => {
-                let g = world.m.group(self.me, now + cost, Doorbell::PerVerb);
-                self.commit_steal(now, world, victim, t0, item, size, cost, g)
-            }
-        }
-    }
-
-    /// Fence-free claim: entry span read (plain get), host-side ticket
-    /// arbitration, then a plain claim-write of the `top` hint — no atomic
-    /// anywhere. A `Dup` pays the wasted payload transfer and discards; a
-    /// `Lost` race costs only the span read.
-    fn step_steal_claim_ff(
-        &mut self,
-        now: VTime,
-        world: &mut World,
-        victim: WorkerId,
-        top: u64,
-        t0: VTime,
-    ) -> Step {
         let slot = GlobalAddr::new(victim, self.lay.dq_slot(top));
         let (vals, mut cost) = world.m.get_u64_span::<3>(self.me, slot);
         let outcome = {

@@ -42,10 +42,10 @@ use dcs_sim::{Actor, Doorbell, GlobalAddr, Machine, SimRng, Step, VTime, VerbGro
 
 use crate::dedup::DoneFlag;
 use crate::deque::{
-    ff_decide, ff_owner_pop, ff_owner_pop_parent, ff_owner_push, ff_owner_reclaim, lf_owner_pop,
-    lf_owner_pop_parent, lf_owner_push, lf_thief_claim, lock_holder, lock_word, owner_pop,
-    owner_pop_parent, owner_push, thief_advance_top, thief_lock_epoch, thief_read_bounds,
-    thief_release_lock, thief_take_no_release, Busy, DeadSlot, DequeError, FfSteal,
+    ff_decide, ff_owner_pop, ff_owner_pop_parent, ff_owner_push, ff_owner_reclaim, lock_holder,
+    lock_word, owner_pop, owner_pop_parent, owner_push, thief_advance_top, thief_lock_epoch,
+    thief_read_bounds, thief_release_lock, thief_take_no_release, Busy, DeadSlot, DequeError,
+    FfSteal,
 };
 use crate::entry::{
     alloc_entry, alloc_saved_ctx, free_entry, read_saved_ctx, DONE_BIT, EM_CONSUMED, EM_CTX0,
@@ -89,11 +89,11 @@ pub(crate) enum WState {
         bounds: Option<(u64, u64)>,
         vepoch: u64,
     },
-    /// Lock-free / fence-free protocols: a bounds read last step saw
-    /// `top < bottom`; claim the entry at `top` this step. The cross-step
-    /// split is the real protocol's race window — the victim (or another
-    /// thief) can consume the slot in between, making the claim lose (CAS
-    /// failure / validation miss) or double-take (fence-free `Dup`).
+    /// Fence-free protocol: a bounds read last step saw `top < bottom`;
+    /// claim the entry at `top` this step. The cross-step split is the
+    /// real protocol's race window — the victim (or another thief) can
+    /// consume the slot in between, making the claim lose (validation
+    /// miss) or double-take (`Dup`).
     /// `vepoch` fences the claim exactly like the CAS-lock take's.
     StealClaim {
         victim: WorkerId,
@@ -176,7 +176,7 @@ pub struct Worker {
     me: WorkerId,
     n: usize,
     policy: Policy,
-    /// Steal-protocol family (CAS-lock / lock-free / fence-free).
+    /// Steal-protocol family (CAS-lock / fence-free).
     protocol: Protocol,
     strategy: FreeStrategy,
     scheme: AddressScheme,
@@ -862,8 +862,8 @@ impl Worker {
     // ------------------------------------------------------------------
 
     /// Push to the local deque under the run's protocol. Only CAS-lock can
-    /// report [`DequeError::Busy`] (a thief holds the lock); the lock-free
-    /// and fence-free owners are never blocked.
+    /// report [`DequeError::Busy`] (a thief holds the lock); the fence-free
+    /// owner is never blocked.
     pub(crate) fn dq_push(
         &mut self,
         world: &mut World,
@@ -877,13 +877,6 @@ impl Worker {
                 self.me,
                 item,
             ),
-            Protocol::LockFree => Ok(lf_owner_push(
-                &mut world.m,
-                &mut world.rt.per[self.me].items,
-                &self.lay,
-                self.me,
-                item,
-            )),
             Protocol::FenceFree => {
                 let rt = &mut world.rt;
                 Ok(ff_owner_push(
@@ -904,12 +897,6 @@ impl Worker {
     ) -> Result<(Option<QueueItem>, VTime), DequeError> {
         match self.protocol {
             Protocol::CasLock => owner_pop(
-                &mut world.m,
-                &mut world.rt.per[self.me].items,
-                &self.lay,
-                self.me,
-            ),
-            Protocol::LockFree => lf_owner_pop(
                 &mut world.m,
                 &mut world.rt.per[self.me].items,
                 &self.lay,
@@ -942,13 +929,6 @@ impl Worker {
                 self.me,
                 e,
             ),
-            Protocol::LockFree => lf_owner_pop_parent(
-                &mut world.m,
-                &mut world.rt.per[self.me].items,
-                &self.lay,
-                self.me,
-                e,
-            ),
             Protocol::FenceFree => {
                 let rt = &mut world.rt;
                 ff_owner_pop_parent(
@@ -964,14 +944,14 @@ impl Worker {
     }
 
     /// Does a fork/yield need the CAS-lock "probe the lock before side
-    /// effects" dance? The lock-free and fence-free owners never block, so
-    /// their pushes are unconditional.
+    /// effects" dance? The fence-free owner never blocks, so its pushes
+    /// are unconditional.
     pub(crate) fn needs_lock_probe(&self) -> bool {
         self.protocol == Protocol::CasLock
     }
 
     /// Run one application step of the current thread, producing an effect.
-    pub(crate) fn advance_cur(&mut self, now: VTime, world: &mut World) -> Effect {
+    pub(crate) fn advance_cur(&mut self, now: VTime) -> Effect {
         let scale = self.compute_scale_at(now);
         let th = self.cur.as_mut().expect("advance without current thread");
         let mut ctx = TaskCtx {
@@ -979,7 +959,6 @@ impl Worker {
             app: &self.app,
             compute_scale: scale,
         };
-        let _ = &mut world.m; // world reserved for future instrumentation
         th.advance(&mut ctx)
     }
 

@@ -368,14 +368,14 @@ proptest! {
     }
 }
 
-// The protocol-agreement family runs all three steal families per case (six
+// The protocol-agreement family runs both steal families per case (four
 // full simulations each), so it gets its own smaller case budget.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The three steal-protocol families are interchangeable: for every
-    /// (tree, P, policy, fabric mode, fault schedule), cas-lock, lock-free
-    /// and fence-free all produce the exact serial UTS node count and
+    /// The two steal-protocol families are interchangeable: for every
+    /// (tree, P, policy, fabric mode, fault schedule), cas-lock and
+    /// fence-free both produce the exact serial UTS node count and
     /// conserve every PFor thread — under a fault-free fabric and under
     /// random transient verb faults alike. Fence-free's bounded
     /// multiplicity must never leak into the observable result.
