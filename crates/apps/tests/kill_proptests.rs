@@ -17,6 +17,11 @@
 //! record re-keying that makes a second kill recoverable. The contract
 //! there: a result-identical completion or a typed abort, never a hang
 //! (the bounded `max_steps` turns a hang into a loud panic).
+//!
+//! The kill, multi-steal and suspicion sweeps also run every input through
+//! `run_hooked(.., &mut ())`, which re-polls owner lock spins on their grid
+//! instead of parking them: the parked run must equal that polling loop in
+//! every report field but the engine step count.
 
 use dcs_apps::pfor::{pfor_program, PforParams};
 use dcs_apps::uts::{presets, program, serial_count};
@@ -82,6 +87,24 @@ fn cfg_proto(policy: Policy, protocol: Protocol, plan: FaultPlan) -> RunConfig {
     cfg
 }
 
+/// Run `cfg` twice — parked lock spins (`run`) and the polling loop they
+/// stand in for (`run_hooked` with the default schedule) — and require
+/// identical reports apart from the step count. Returns the parked run.
+fn run_parked_and_polled(cfg: RunConfig, prog: impl Fn() -> Program, ctx: &str) -> RunReport {
+    let mut parked = run(cfg.clone(), prog());
+    let mut polled = run_hooked(cfg, prog(), &mut ());
+    let steps = parked.steps;
+    assert!(steps <= polled.steps, "{ctx}: parking added engine steps");
+    (parked.steps, polled.steps) = (0, 0);
+    assert_eq!(
+        format!("{parked:?}"),
+        format!("{polled:?}"),
+        "{ctx}: parking changed the run"
+    );
+    parked.steps = steps;
+    parked
+}
+
 /// Armed runs legitimately abandon resources mid-recovery; every other
 /// violation (duplicated task, lost task, double free, stall) is a bug.
 fn assert_clean_modulo_leaks(r: &RunReport, ctx: &str) {
@@ -127,13 +150,14 @@ proptest! {
             // against a stale CAS.
             for protocol in Protocol::ALL {
                 for (victim, topo) in victims() {
-                    let r = run(
+                    let ctx = format!("{policy:?}/{}/{victim:?} raw={raw:?}", protocol.label());
+                    let r = run_parked_and_polled(
                         cfg_proto(policy, protocol, kill_plan(&raw, WORKERS))
                             .with_victim(victim)
                             .with_topology(topo),
-                        program(spec.clone()),
+                        || program(spec.clone()),
+                        &ctx,
                     );
-                    let ctx = format!("{policy:?}/{}/{victim:?} raw={raw:?}", protocol.label());
                     assert!(r.outcome.is_complete(), "{ctx}: {:?}", r.outcome);
                     assert_eq!(r.result.as_u64(), truth, "{ctx}");
                     assert_clean_modulo_leaks(&r, &ctx);
@@ -190,16 +214,17 @@ proptest! {
         for policy in POLICIES {
             for protocol in Protocol::ALL {
                 for (victim, topo) in victims() {
-                    let r = run(
+                    let ctx =
+                        format!("{policy:?}/{}/{victim:?} K={k} raw={raw:?}", protocol.label());
+                    let r = run_parked_and_polled(
                         cfg_proto(policy, protocol, kill_plan(&raw, WORKERS))
                             .with_fabric(FabricMode::Pipelined)
                             .with_multi_steal(k)
                             .with_victim(victim)
                             .with_topology(topo),
-                        program(spec.clone()),
+                        || program(spec.clone()),
+                        &ctx,
                     );
-                    let ctx =
-                        format!("{policy:?}/{}/{victim:?} K={k} raw={raw:?}", protocol.label());
                     assert!(r.outcome.is_complete(), "{ctx}: {:?}", r.outcome);
                     assert_eq!(r.result.as_u64(), truth, "{ctx}");
                     assert_clean_modulo_leaks(&r, &ctx);
@@ -240,15 +265,16 @@ proptest! {
         for protocol in Protocol::ALL {
             for fabric in [FabricMode::Blocking, FabricMode::Pipelined] {
                 for k in [1u32, 2] {
-                    let r = run(
-                        cfg_proto(Policy::ContGreedy, protocol, plan.clone())
-                            .with_fabric(fabric)
-                            .with_multi_steal(k),
-                        program(spec.clone()),
-                    );
                     let ctx = format!(
                         "{}/{fabric:?}/K={k} windows={windows:?} suspect={suspect_us}us",
                         protocol.label()
+                    );
+                    let r = run_parked_and_polled(
+                        cfg_proto(Policy::ContGreedy, protocol, plan.clone())
+                            .with_fabric(fabric)
+                            .with_multi_steal(k),
+                        || program(spec.clone()),
+                        &ctx,
                     );
                     assert!(r.outcome.is_complete(), "{ctx}: {:?}", r.outcome);
                     assert_eq!(r.result.as_u64(), truth, "{ctx}");
@@ -259,6 +285,77 @@ proptest! {
                     );
                     assert_clean_modulo_leaks(&r, &ctx);
                 }
+            }
+        }
+    }
+
+    /// Owner lock spins at ITO-A latencies, where a thief holds a victim's
+    /// lock for microseconds: kills, lease confirmations and evictions land
+    /// while owners sit parked on their locks, and a killed ChildFull
+    /// worker latches the unrecoverable abort. Whatever wakes a parked
+    /// owner, the run must be the polling loop's twin.
+    #[test]
+    fn parked_lock_spins_see_kills_and_evictions(
+        raw in proptest::collection::vec((0usize..8, 1u64..300), 1..4),
+        message in proptest::bool::ANY,
+    ) {
+        let spec = presets::tiny();
+        let truth = serial_count(&spec).nodes;
+        let mut plan = kill_plan(&raw, WORKERS);
+        if message {
+            plan = plan.with_detector(Detector::Message);
+        }
+        for policy in [Policy::ChildFull, Policy::ChildRtc, Policy::ContGreedy, Policy::ContStalling] {
+            let ctx = format!("{policy:?} plan={plan}");
+            let r = run_parked_and_polled(
+                cfg(policy, plan.clone()).with_profile(profiles::itoa()),
+                || program(spec.clone()),
+                &ctx,
+            );
+            if policy != Policy::ChildFull {
+                assert!(r.outcome.is_complete(), "{ctx}: {:?}", r.outcome);
+                assert_eq!(r.result.as_u64(), truth, "{ctx}");
+            }
+        }
+    }
+
+    /// The suspicion sweep's plans at ITO-A latencies: live owners get
+    /// falsely evicted while parked on their locks and must self-fence at
+    /// the first poll after the eviction, exactly as the polling loop does.
+    #[test]
+    fn parked_lock_spins_see_false_evictions(
+        windows in proptest::collection::vec(
+            (0usize..6, 0u64..20, 1u64..40, 2u64..40), 1..3),
+        suspect_us in 3u64..8,
+        drop_m in 0u32..3,
+    ) {
+        let spec = presets::tiny();
+        let truth = serial_count(&spec).nodes;
+        let mut plan = FaultPlan::none().with_detector(Detector::Message);
+        plan.hb_period = VTime::us(1);
+        plan.suspect = Some(VTime::us(suspect_us));
+        plan.msg_drop_p = drop_m as f64 * 0.1;
+        for &(w, from_us, dur_us, factor) in &windows {
+            plan = plan.with_degrade(DegradeWindow {
+                worker: w,
+                from: VTime::us(from_us),
+                until: VTime::us(from_us + dur_us),
+                factor: factor as f64,
+            });
+        }
+        for fabric in [FabricMode::Blocking, FabricMode::Pipelined] {
+            for k in [1u32, 2] {
+                let ctx = format!("{fabric:?}/K={k} plan={plan}");
+                let r = run_parked_and_polled(
+                    cfg(Policy::ContGreedy, plan.clone())
+                        .with_profile(profiles::itoa())
+                        .with_fabric(fabric)
+                        .with_multi_steal(k),
+                    || program(spec.clone()),
+                    &ctx,
+                );
+                assert!(r.outcome.is_complete(), "{ctx}: {:?}", r.outcome);
+                assert_eq!(r.result.as_u64(), truth, "{ctx}");
             }
         }
     }

@@ -1937,69 +1937,36 @@ pub fn catalog(workers: usize, seed: u64) -> Vec<Scenario> {
             },
         ));
     }
-    v.push(runtime_scenario(
-        "fork-join".to_string(),
-        workers,
-        seed,
-        Policy::ContGreedy,
-        FreeStrategy::LocalCollection,
-        FabricMode::Blocking,
-        Protocol::CasLock,
-        1,
-        ProgSpec {
-            root: fib,
-            arg: 8,
-            expected: 21,
-        },
-    ));
-    v.push(runtime_scenario(
-        "fork-join-pipelined".to_string(),
-        workers,
-        seed,
-        Policy::ContGreedy,
-        FreeStrategy::LocalCollection,
-        FabricMode::Pipelined,
-        Protocol::CasLock,
-        1,
-        ProgSpec {
-            root: fib,
-            arg: 8,
-            expected: 21,
-        },
-    ));
-    // Fence-free termination: a full fork-join tree must drain, terminate
-    // and pass the end-of-run leak oracles (finalize reclaims thief-claimed
-    // slots) under every explored schedule — in both fabric modes.
-    v.push(runtime_scenario(
-        "fence-free-term".to_string(),
-        workers,
-        seed,
-        Policy::ContGreedy,
-        FreeStrategy::LocalCollection,
-        FabricMode::Blocking,
-        Protocol::FenceFree,
-        1,
-        ProgSpec {
-            root: fib,
-            arg: 8,
-            expected: 21,
-        },
-    ));
-    v.push(runtime_scenario(
-        "fence-free-term-pipelined".to_string(),
-        workers,
-        seed,
-        Policy::ContGreedy,
-        FreeStrategy::LocalCollection,
-        FabricMode::Pipelined,
-        Protocol::FenceFree,
-        1,
-        ProgSpec {
-            root: fib,
-            arg: 8,
-            expected: 21,
-        },
-    ));
+    // A full fork-join tree under each steal family and fabric mode must
+    // drain, terminate and pass the end-of-run leak oracles (fence-free's
+    // finalize reclaims thief-claimed slots) under every explored schedule.
+    for protocol in Protocol::ALL {
+        for fabric in [FabricMode::Blocking, FabricMode::Pipelined] {
+            let family = match protocol {
+                Protocol::CasLock => "fork-join",
+                Protocol::FenceFree => "fence-free-term",
+            };
+            let mode = match fabric {
+                FabricMode::Blocking => "",
+                FabricMode::Pipelined => "-pipelined",
+            };
+            v.push(runtime_scenario(
+                format!("{family}{mode}"),
+                workers,
+                seed,
+                Policy::ContGreedy,
+                FreeStrategy::LocalCollection,
+                fabric,
+                protocol,
+                1,
+                ProgSpec {
+                    root: fib,
+                    arg: 8,
+                    expected: 21,
+                },
+            ));
+        }
+    }
     // The full runtime with K=2 probe rings under every protocol family —
     // the pipelined fabric keeps both probes genuinely in flight, so the
     // explorer can interleave owners into the probe/commit window.

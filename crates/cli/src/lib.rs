@@ -394,6 +394,7 @@ pub fn execute_run(a: &RunArgs) -> String {
 
     if a.bench == Bench::BotUts {
         let spec = uts::UtsSpec::new(4.0, n as u32, uts::Shape::Linear, 19);
+        let start = std::time::Instant::now();
         let r = dcs_bot::onesided::run_workload_fabric(
             &dcs_bot::Workload::Uts(spec),
             a.workers,
@@ -403,6 +404,7 @@ pub fn execute_run(a: &RunArgs) -> String {
             a.fault.clone(),
             a.fabric,
         );
+        let host = start.elapsed();
         let mut s = String::new();
         let _ = writeln!(s, "bench:      bot-uts (one-sided steal-half, gen_mx = {n})");
         let _ = writeln!(s, "nodes:      {}", r.nodes);
@@ -432,6 +434,7 @@ pub fn execute_run(a: &RunArgs) -> String {
                 r.dead_workers, r.lost_tasks, r.reexec_tasks, r.dup_results
             );
         }
+        write_effort(&mut s, r.steps, host);
         return s;
     }
 
@@ -448,8 +451,11 @@ pub fn execute_run(a: &RunArgs) -> String {
         }
         Bench::BotUts => unreachable!("handled above"),
     };
+    let start = std::time::Instant::now();
     let report = run(cfg, program);
+    let host = start.elapsed();
     let mut rendered = render_report(a, n, &report);
+    write_effort(&mut rendered, report.steps, host);
     if let Some(d) = report.stats.delay_report(report.elapsed, a.workers) {
         let _ = writeln!(
             rendered,
@@ -472,6 +478,13 @@ pub fn execute_run(a: &RunArgs) -> String {
         }
     }
     rendered
+}
+
+/// The simulator's own effort: engine steps (deterministic) and host
+/// wall-clock time of the simulation (varies run to run).
+fn write_effort(s: &mut String, steps: u64, host: std::time::Duration) {
+    let _ = writeln!(s, "steps:      {steps}");
+    let _ = writeln!(s, "host:       {:.1} ms", host.as_secs_f64() * 1e3);
 }
 
 fn render_report(a: &RunArgs, n: u64, r: &RunReport) -> String {
@@ -1175,6 +1188,18 @@ mod tests {
         a.machine = profiles::test_profile();
         let out = execute_run(&a);
         assert!(out.contains("U64(55)"), "{out}");
+        // The simulator's effort: engine steps and host milliseconds.
+        let field = |key: &str| {
+            out.lines()
+                .find_map(|l| l.strip_prefix(key))
+                .unwrap_or_else(|| panic!("no `{key}` line in:\n{out}"))
+                .trim()
+                .to_string()
+        };
+        assert!(field("steps:").parse::<u64>().is_ok_and(|n| n > 0), "{out}");
+        let host = field("host:");
+        let ms = host.strip_suffix(" ms").unwrap_or_else(|| panic!("{out}"));
+        assert!(ms.parse::<f64>().is_ok(), "{out}");
     }
 
     #[test]

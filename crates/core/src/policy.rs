@@ -182,14 +182,10 @@ pub struct RunConfig {
     pub topology: Topology,
     /// Victim-selection policy for steals.
     pub victim: VictimPolicy,
-    /// Whole-run per-worker compute-speed multipliers: worker `w` runs
-    /// compute `perturb[w]`× slower for the entire run. Empty =
-    /// homogeneous. For *time-varying* degradation use [`RunConfig::slowdowns`]
-    /// (which [`RunConfig::with_straggler`] now builds on); both compose
-    /// multiplicatively with the profile's base compute scale.
-    pub perturb: Vec<f64>,
     /// Time-windowed compute slowdowns (see [`SlowdownWindow`]); built by
     /// [`RunConfig::with_slowdown`] / [`RunConfig::with_straggler`].
+    /// Windows covering the same instant compose multiplicatively with
+    /// each other and with the profile's compute scale.
     pub slowdowns: Vec<SlowdownWindow>,
     /// Fabric fault-injection plan (verb failures, message drop/dup,
     /// degraded-NIC and crash windows). [`FaultPlan::none()`] keeps the
@@ -250,7 +246,6 @@ impl RunConfig {
             address_scheme: AddressScheme::Uni,
             topology: Topology::Flat,
             victim: VictimPolicy::Uniform,
-            perturb: Vec::new(),
             slowdowns: Vec::new(),
             fault: FaultPlan::none(),
             watchdog: false,

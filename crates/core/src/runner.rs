@@ -81,6 +81,7 @@ impl RunOutcome {
 }
 
 /// Everything a run produces.
+#[derive(Debug)]
 pub struct RunReport {
     /// How the run ended; `result` is meaningful only when `Complete`.
     pub outcome: RunOutcome,
@@ -137,19 +138,16 @@ pub fn run_full(cfg: RunConfig, program: Program) -> (RunReport, Machine) {
 
 /// Like [`run`], but the engine's actor-step order is chosen by `hook`
 /// (see [`ScheduleHook`]) — the seam `dcs-check` drives interleaving
-/// exploration through.
+/// exploration through. Parked lock spins re-poll on their grid here
+/// instead of waiting for a computed wake, so `run_hooked(cfg, prog,
+/// &mut ())` is the plain polling loop that `run`'s parking reproduces:
+/// every report field but `steps` is identical.
 pub fn run_hooked<H: ScheduleHook + ?Sized>(
     cfg: RunConfig,
     program: Program,
     hook: &mut H,
 ) -> RunReport {
-    run_inner(cfg, program, |e| {
-        // Exploration reorders actor steps, which breaks the parked-spin
-        // wake-instant computation: keep the spin loops stepping.
-        e.world.rt.allow_park = false;
-        e.run_with_hook(hook)
-    })
-    .0
+    run_inner(cfg, program, |e| e.run_with_hook(hook)).0
 }
 
 fn run_inner(
@@ -198,7 +196,8 @@ fn run_inner(
 
     let mut engine = Engine::new(world, actors)
         .with_max_steps(max_steps)
-        .with_waker(|w, out| w.m.take_wakeups(out));
+        .with_waker(|w, out| w.m.take_wakeups(out))
+        .with_repoll(|w, me| w.m.repoll_at(me));
     let report = drive(&mut engine);
     let (world, _actors) = engine.into_parts();
     let World { m, mut rt } = world;

@@ -15,23 +15,7 @@ impl Worker {
         }
         match self.apply_pending(now, world) {
             Ok(cost) => Step::Yield(cost),
-            Err(Busy) => {
-                // A dead thief can hold our deque lock forever; break it
-                // once the death is lease-confirmed so the retry converges.
-                self.break_dead_lock(now, world);
-                let cost = world.m.local_op(self.me);
-                if self.may_park(world) {
-                    // The thief holds our lock across multi-µs verbs while
-                    // each re-poll is one local op: park on the lock word
-                    // instead of re-stepping every poll.
-                    world
-                        .m
-                        .park_on_own_word(self.me, self.lay.dq_word(DQ_LOCK), cost, Self::SPIN_CHARGE);
-                    Step::Park
-                } else {
-                    Step::Yield(cost)
-                }
-            }
+            Err(Busy) => self.spin_park(now, world),
         }
     }
 

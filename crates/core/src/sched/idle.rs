@@ -364,21 +364,9 @@ impl Worker {
         }
         // 1. Local pop.
         match self.dq_pop(world) {
-            Err(DequeError::Busy) => {
-                self.break_dead_lock(now, world);
-                let cost = world.m.local_op(self.me);
-                if self.may_park(world) {
-                    // Same lock-spin park as `step_run`'s Busy arm; the
-                    // done flag is re-checked on wake (`set_done` wakes all
-                    // parked workers), so termination is never missed.
-                    world
-                        .m
-                        .park_on_own_word(self.me, self.lay.dq_word(DQ_LOCK), cost, Self::SPIN_CHARGE);
-                    Step::Park
-                } else {
-                    Step::Yield(cost)
-                }
-            }
+            // The done flag is re-checked on wake (`set_done` wakes every
+            // parked worker), so termination is never missed.
+            Err(DequeError::Busy) => self.spin_park(now, world),
             Err(DequeError::Dead(d)) => {
                 self.deque_violation(world, self.me, &d);
                 Step::Yield(d.cost)

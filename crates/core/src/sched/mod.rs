@@ -189,7 +189,7 @@ pub struct Worker {
     lay: SegLayout,
     rng: SimRng,
     app: AppCtx,
-    /// Whole-run compute slowdown (profile scale × perturb).
+    /// Whole-run compute slowdown (the profile's compute scale).
     base_scale: f64,
     /// Time-windowed slowdowns affecting this worker: `(from, until, factor)`.
     slow_windows: Vec<(VTime, VTime, f64)>,
@@ -244,8 +244,7 @@ impl Worker {
         let strategy = world.rt.cfg.free_strategy;
         let scheme = world.rt.cfg.address_scheme;
         let victim_policy = world.rt.cfg.victim;
-        let base_scale = world.rt.cfg.profile.compute_scale
-            * world.rt.cfg.perturb.get(me).copied().unwrap_or(1.0);
+        let base_scale = world.rt.cfg.profile.compute_scale;
         let slow_windows: Vec<(VTime, VTime, f64)> = world
             .rt
             .cfg
@@ -593,7 +592,7 @@ impl Worker {
         } else {
             None
         };
-        world.rt.note_worker_lost(self.me, tids, fail);
+        world.rt.note_worker_lost(self.me, now, tids, fail);
         if fail.is_some() {
             world.m.set_done();
         }
@@ -811,6 +810,48 @@ impl Worker {
         }
     }
 
+    /// Fabric charge of one owner-side lock-spin iteration: the lock
+    /// probe's local get (charged inside the deque op / probe) plus the
+    /// retry's bookkeeping `local_op`. Parking credits this per skipped
+    /// iteration.
+    pub(crate) const SPIN_CHARGE: u64 = 2;
+
+    /// One iteration of the owner-side lock spin (a local deque op found a
+    /// thief holding the lock). The thief holds it across multi-µs verbs
+    /// while each re-poll is one local op, so the worker parks on the lock
+    /// word instead of re-stepping every poll (see
+    /// `Machine::park_on_own_word`). Besides the lock word, a poll of a
+    /// spinning worker reads state that changes in two ways, and the park
+    /// wakes for both:
+    ///
+    /// * by the clock alone — its own kill or crash window, a detector
+    ///   status change (the idle loop's `fail_stop_scan`, the holder's
+    ///   confirmation in [`Self::break_dead_lock`]), the watchdog's stall
+    ///   deadline: the earliest of these is the park's deadline;
+    /// * by another worker's step — the done flag, an eviction (and the
+    ///   replay-pool fill that comes with it), the unrecoverable latch
+    ///   (which raises the done flag): the machine wakes every parked
+    ///   worker on those writes.
+    pub(crate) fn spin_park(&mut self, now: VTime, world: &mut World) -> Step {
+        let broke = self.break_dead_lock(now, world);
+        let cost = world.m.local_op(self.me);
+        let deadline = if broke {
+            // The lock is free again: the very next poll retries.
+            Some(now)
+        } else {
+            let stall = world.rt.watch_stall_deadline(now);
+            world.m.next_fault_event(self.me, now).into_iter().chain(stall).min()
+        };
+        world.m.park_on_own_word(
+            self.me,
+            self.lay.dq_word(DQ_LOCK),
+            cost,
+            Self::SPIN_CHARGE,
+            deadline,
+        );
+        Step::Park
+    }
+
     /// Fail-stop lock-break: a thief that died between acquiring this
     /// worker's deque lock and its take step left the lock set forever —
     /// and can never have taken anything (the take is a single atomic
@@ -821,40 +862,23 @@ impl Worker {
     /// incarnation self-fenced and will never run the take — so an epoch
     /// gap breaks the lock too. Under the oracle detector the epoch clause
     /// is redundant (eviction requires confirmation, which this check sees
-    /// first), keeping oracle runs byte-identical.
-    /// Fabric charge of one owner-side lock-spin iteration: the lock
-    /// probe's local get (charged inside the deque op / probe) plus the
-    /// retry's bookkeeping `local_op`. Parking credits this per skipped
-    /// iteration.
-    pub(crate) const SPIN_CHARGE: u64 = 2;
-
-    /// Whether an owner-side lock spin may park on the engine's wake
-    /// mechanism instead of re-stepping every `local_op` of virtual time
-    /// (see `Machine::park_on_own_word`). Parking reproduces the spin loop
-    /// exactly only when each skipped iteration would have been a pure
-    /// re-poll: no fault plan evaluating crash/suspicion windows per step,
-    /// no dead-lock breaking, no watchdog stall clock, and no schedule
-    /// exploration reordering steps.
-    pub(crate) fn may_park(&self, world: &World) -> bool {
-        world.rt.allow_park
-            && !self.kills
-            && !world.m.faults_active()
-            && world.rt.watch.is_none()
-    }
-
-    pub(crate) fn break_dead_lock(&mut self, now: VTime, world: &mut World) {
+    /// first), keeping oracle runs byte-identical. Returns whether the
+    /// lock was broken.
+    pub(crate) fn break_dead_lock(&mut self, now: VTime, world: &mut World) -> bool {
         if !self.kills {
-            return;
+            return false;
         }
         let addr = GlobalAddr::new(self.me, self.lay.dq_word(DQ_LOCK));
         let holder = world.m.read_own(self.me, addr);
         if holder == 0 {
-            return;
+            return false;
         }
         let (holder_epoch, thief) = lock_holder(holder);
-        if world.m.confirmed_dead(thief, now) || world.m.epoch_of(thief) > holder_epoch {
+        let dead = world.m.confirmed_dead(thief, now) || world.m.epoch_of(thief) > holder_epoch;
+        if dead {
             world.m.write_own(self.me, addr, 0);
         }
+        dead
     }
 
     // ------------------------------------------------------------------
@@ -988,7 +1012,7 @@ impl Actor<World> for Worker {
             }
         }
         if let Some(until) = world.m.crashed_until(me, now) {
-            world.rt.watch_crash_sleep(until);
+            world.rt.watch_crash_sleep(now, until);
             return Step::Yield(until.saturating_sub(now).max(VTime::ns(1)));
         }
         // Self-fence: the epoch registry moved past our view — a survivor

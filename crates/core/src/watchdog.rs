@@ -226,18 +226,33 @@ impl Watchdog {
         self.progress(now);
     }
 
+    /// Start of the current silent period: stall polls measure their gap
+    /// from here.
+    fn silent_since(&self) -> VTime {
+        self.last_progress.max(self.pause_until)
+    }
+
+    /// Fold the gap of the silent period that ends at `now` into
+    /// `max_gap`. Every event that ends a silent period records it — the
+    /// stall polls inside the period saw only shorter gaps — so `max_gap`
+    /// does not depend on which of those polls actually ran (parked
+    /// workers skip theirs).
+    fn close_gap(&mut self, now: VTime) {
+        self.max_gap = self.max_gap.max(now.saturating_sub(self.silent_since()));
+    }
+
     /// Any global progress event (death, successful steal): reset the stall
     /// clock.
     pub fn progress(&mut self, now: VTime) {
-        let since = self.last_progress.max(self.pause_until);
-        self.max_gap = self.max_gap.max(now.saturating_sub(since));
+        self.close_gap(now);
         self.last_progress = self.last_progress.max(now);
         self.stall_reported = false;
     }
 
-    /// A worker legitimately sleeps through a crash window ending at
-    /// `until`: silence up to there is not a stall.
-    pub fn crash_sleep(&mut self, until: VTime) {
+    /// A worker legitimately sleeps from `now` through a crash window
+    /// ending at `until`: silence up to there is not a stall.
+    pub fn crash_sleep(&mut self, now: VTime, until: VTime) {
+        self.close_gap(now);
         self.pause_until = self.pause_until.max(until);
     }
 
@@ -255,11 +270,13 @@ impl Watchdog {
     /// remembered and discounted from the lost-task check at
     /// [`Self::finish`]. An unrecoverable loss retires everything and
     /// records the violation — the run aborts immediately.
-    pub fn worker_lost(&mut self, worker: usize, tids: &[u64], recoverable: bool) {
+    pub fn worker_lost(&mut self, worker: usize, now: VTime, tids: &[u64], recoverable: bool) {
         self.lost_workers.push(worker);
         if recoverable {
             self.lost_tids.extend(tids.iter().copied());
         } else {
+            // The run ends here: the last silent period closes with it.
+            self.close_gap(now);
             for t in tids {
                 self.live.remove(t);
             }
@@ -316,7 +333,7 @@ impl Watchdog {
         if self.stall_reported {
             return;
         }
-        let since = self.last_progress.max(self.pause_until);
+        let since = self.silent_since();
         let gap = now.saturating_sub(since);
         self.max_gap = self.max_gap.max(gap);
         if gap > self.stall_limit {
@@ -336,6 +353,20 @@ impl Watchdog {
                 suspected_dead,
             });
         }
+    }
+
+    /// The first instant after `now` at which [`Self::check_stall`] could
+    /// report. The silent period only ever restarts later, so a poll
+    /// scheduled here is at worst early. Once a stall is reported the
+    /// clock restarts at the next progress event, which lies at or after
+    /// `now`.
+    pub fn stall_deadline(&self, now: VTime) -> VTime {
+        let from = if self.stall_reported {
+            now
+        } else {
+            self.silent_since()
+        };
+        VTime::ns(from.as_ns().saturating_add(self.stall_limit.as_ns()).saturating_add(1))
     }
 
     /// Close out the run: any still-live tid is a lost task. Tids that went
@@ -430,7 +461,7 @@ mod tests {
         w.spawn(2);
         w.spawn(3);
         w.spawn(4);
-        w.worker_lost(5, &[1, 2, 3], true);
+        w.worker_lost(5, VTime::us(1), &[1, 2, 3], true);
         // Frame 1's fate: stolen just before the kill (virtually earlier,
         // executed later), completes normally — neither a duplicate death
         // nor a lost task.
@@ -449,7 +480,7 @@ mod tests {
     fn unrecoverable_worker_loss_is_a_violation() {
         let mut w = Watchdog::new(VTime::ms(1));
         w.spawn(9);
-        w.worker_lost(0, &[9], false);
+        w.worker_lost(0, VTime::us(1), &[9], false);
         let r = w.finish();
         assert_eq!(
             r.violations,
@@ -474,6 +505,32 @@ mod tests {
         assert_eq!(r.max_gap, VTime::us(300));
     }
 
+    /// A crash-window pause ends a silent period as a progress event does:
+    /// its gap counts even when no stall poll ran just before it.
+    #[test]
+    fn crash_sleep_closes_the_silent_period() {
+        let mut w = Watchdog::new(VTime::us(100));
+        w.progress(VTime::us(10));
+        w.crash_sleep(VTime::us(90), VTime::us(400));
+        w.progress(VTime::us(420));
+        assert_eq!(w.finish().max_gap, VTime::us(80));
+    }
+
+    #[test]
+    fn stall_deadline_is_the_first_reporting_poll() {
+        let mut w = Watchdog::new(VTime::us(100));
+        w.progress(VTime::us(10));
+        let d = w.stall_deadline(VTime::us(20));
+        assert_eq!(d, VTime::us(110) + VTime::ns(1));
+        w.check_stall(d - VTime::ns(1)); // silent for exactly the limit
+        assert!(!w.stall_reported);
+        w.check_stall(d);
+        assert!(w.stall_reported);
+        // Reported: the next stall needs a fresh period, which starts no
+        // earlier than the asking poll.
+        assert_eq!(w.stall_deadline(VTime::us(500)), VTime::us(600) + VTime::ns(1));
+    }
+
     #[test]
     fn stall_report_names_confirmed_losses_under_the_oracle() {
         // Oracle detector: deaths are confirmed facts, suspect()/unsuspect()
@@ -482,7 +539,7 @@ mod tests {
         // silently change oracle output.
         let mut w = Watchdog::new(VTime::us(100));
         w.progress(VTime::us(10));
-        w.worker_lost(2, &[], true);
+        w.worker_lost(2, VTime::us(1), &[], true);
         w.check_stall(VTime::us(500));
         let r = w.finish();
         assert!(matches!(
@@ -538,7 +595,7 @@ mod tests {
     fn crash_sleep_pauses_the_stall_clock() {
         let mut w = Watchdog::new(VTime::us(100));
         w.progress(VTime::us(10));
-        w.crash_sleep(VTime::ms(1)); // frozen until 1ms
+        w.crash_sleep(VTime::us(20), VTime::ms(1)); // frozen until 1ms
         w.check_stall(VTime::us(900)); // silence excused by the crash window
         let r = w.finish();
         assert!(r.is_clean(), "{r}");

@@ -299,11 +299,6 @@ pub struct RtShared {
     /// `taken[]` array of the fence-free algorithm (the one word a taker
     /// *writes* before executing).
     pub ff_claims: ClaimSet,
-    /// Whether owner-side lock spins may park on the engine's wake
-    /// mechanism instead of re-stepping every poll. On for plain runs;
-    /// forced off under schedule exploration, whose reordered steps break
-    /// the wake-instant computation (see `Machine::park_on_own_word`).
-    pub allow_park: bool,
 }
 
 impl RtShared {
@@ -328,7 +323,6 @@ impl RtShared {
             replay_pool: std::collections::VecDeque::new(),
             unrecoverable: None,
             ff_claims: ClaimSet::new(),
-            allow_park: true,
         }
     }
 
@@ -357,10 +351,11 @@ impl RtShared {
         }
     }
 
-    /// A worker sleeps through a crash-stop window ending at `until`.
-    pub fn watch_crash_sleep(&mut self, until: VTime) {
+    /// A worker sleeps from `now` through a crash-stop window ending at
+    /// `until`.
+    pub fn watch_crash_sleep(&mut self, now: VTime, until: VTime) {
         if let Some(w) = &mut self.watch {
-            w.crash_sleep(until);
+            w.crash_sleep(now, until);
         }
     }
 
@@ -369,6 +364,12 @@ impl RtShared {
         if let Some(w) = &mut self.watch {
             w.check_stall(now);
         }
+    }
+
+    /// The first instant after `now` at which a stall poll could report
+    /// (see [`Watchdog::stall_deadline`]); `None` without a watchdog.
+    pub fn watch_stall_deadline(&self, now: VTime) -> Option<VTime> {
+        self.watch.as_ref().map(|w| w.stall_deadline(now))
     }
 
     /// A deque operation surfaced a typed protocol error (dead ring slot on
@@ -431,20 +432,21 @@ impl RtShared {
         self.watch.take().map(|w| w.finish())
     }
 
-    /// A fail-stop kill took `worker` down while it held `tids` live
-    /// frames. Recoverable losses (`fail == None`) only retire the frames
-    /// (replay re-creates the work under fresh tids); an unrecoverable
-    /// loss latches the typed abort for the runner.
+    /// A fail-stop kill took `worker` down at `now` while it held `tids`
+    /// live frames. Recoverable losses (`fail == None`) only retire the
+    /// frames (replay re-creates the work under fresh tids); an
+    /// unrecoverable loss latches the typed abort for the runner.
     pub fn note_worker_lost(
         &mut self,
         worker: usize,
+        now: VTime,
         tids: Vec<u64>,
         fail: Option<UnrecoverableReason>,
     ) {
         self.stats.workers_lost += 1;
         self.stats.tasks_lost += tids.len() as u64;
         if let Some(w) = &mut self.watch {
-            w.worker_lost(worker, &tids, fail.is_none());
+            w.worker_lost(worker, now, &tids, fail.is_none());
         }
         if let Some(reason) = fail {
             if self.unrecoverable.is_none() {

@@ -20,12 +20,15 @@ pub enum Step {
     /// Advance this actor's clock by the given duration and reschedule it.
     /// Zero durations are bumped to 1 ns to guarantee progress.
     Yield(VTime),
-    /// The actor is waiting on a world-side event and must not be
-    /// rescheduled until the world's waker (see [`Engine::with_waker`])
-    /// reports a wake instant for it. The world layer is responsible for
-    /// computing a wake time that reproduces the exact step the actor
-    /// would have made had it kept polling — parking is a host-side
-    /// fast-path, never a change to simulated behaviour.
+    /// The actor stopped re-polling a world-side condition on a fixed
+    /// grid of virtual instants. [`Engine::run`] does not reschedule it
+    /// until the world's waker (see [`Engine::with_waker`]) reports a wake
+    /// instant for it; the world layer computes a wake that reproduces the
+    /// exact step the actor would have made had it kept polling, so
+    /// parking is a host-side fast path, never a change to simulated
+    /// behaviour. [`Engine::run_with_hook`] instead re-polls the actor at
+    /// its next grid instant (see [`Engine::with_repoll`]): the polling
+    /// loop parking stands in for.
     Park,
     /// The actor is finished and must not be scheduled again.
     Halt,
@@ -157,6 +160,21 @@ impl EventQueue {
         self.sift_up(i);
     }
 
+    /// Schedule worker `w` at time `t`, or move its queued wakeup earlier
+    /// to `t` (a decrease-key through the `pos` index). Returns whether
+    /// `w` was newly queued.
+    pub fn schedule(&mut self, t: VTime, w: WorkerId) -> bool {
+        if self.pos[w] == NOT_QUEUED {
+            self.push(t, w);
+            return true;
+        }
+        let i = self.pos[w] as usize;
+        debug_assert!(t < self.heap[i].0, "worker {w}'s wakeup can only move earlier");
+        self.heap[i].0 = t;
+        self.sift_up(i);
+        false
+    }
+
     /// Drain the queue into an ascending `(wakeup, worker)` vector.
     pub fn drain_sorted(&mut self) -> Vec<(VTime, WorkerId)> {
         for &(_, w) in &self.heap {
@@ -210,6 +228,10 @@ impl EventQueue {
     }
 }
 
+/// World-side hook that moves pending `(wake instant, worker)` pairs into
+/// the engine's buffer (see [`Engine::with_waker`]).
+pub type Waker<W> = fn(&mut W, &mut Vec<(VTime, WorkerId)>);
+
 /// The event loop: an indexed 4-ary heap of `(clock, worker)` keys over the
 /// actors (see [`EventQueue`]).
 pub struct Engine<W, A> {
@@ -222,8 +244,12 @@ pub struct Engine<W, A> {
     /// every actor step; required before any actor may return
     /// [`Step::Park`]. A plain `fn` so `Engine` stays free of extra type
     /// parameters.
-    waker: Option<fn(&mut W, &mut Vec<(VTime, WorkerId)>)>,
+    waker: Option<Waker<W>>,
+    /// The next grid instant of a just-parked actor's abandoned polling
+    /// loop; [`Engine::run_with_hook`] re-polls it there.
+    repoll: Option<fn(&W, WorkerId) -> VTime>,
     wake_buf: Vec<(VTime, WorkerId)>,
+    /// Parked actors with no wakeup in the queue.
     parked: usize,
 }
 
@@ -239,6 +265,7 @@ impl<W, A: Actor<W>> Engine<W, A> {
             // deadlock would otherwise spin in idle loops forever).
             max_steps: 20_000_000_000,
             waker: None,
+            repoll: None,
             wake_buf: Vec::new(),
             parked: 0,
         }
@@ -252,8 +279,15 @@ impl<W, A: Actor<W>> Engine<W, A> {
 
     /// Install the world-side waker that feeds parked actors back into the
     /// event queue (see [`Step::Park`]).
-    pub fn with_waker(mut self, waker: fn(&mut W, &mut Vec<(VTime, WorkerId)>)) -> Self {
+    pub fn with_waker(mut self, waker: Waker<W>) -> Self {
         self.waker = Some(waker);
+        self
+    }
+
+    /// Install the world-side lookup of a parked actor's next poll instant,
+    /// which [`Engine::run_with_hook`] needs to re-poll a [`Step::Park`].
+    pub fn with_repoll(mut self, repoll: fn(&W, WorkerId) -> VTime) -> Self {
+        self.repoll = Some(repoll);
         self
     }
 
@@ -261,18 +295,21 @@ impl<W, A: Actor<W>> Engine<W, A> {
     /// *every* actor step: a step's memory effects may unpark a worker
     /// whose wake instant lies before the stepping actor's own next key,
     /// so the wakes must land in the heap before the next scheduling
-    /// decision (including the peek fast path below).
+    /// decision (including the peek fast path below). A parked worker may
+    /// already sit in the queue at a deadline the world reported when it
+    /// parked; a later, earlier wake moves it forward.
     #[inline]
     fn drain_wakeups(&mut self) {
         if let Some(f) = self.waker {
             f(&mut self.world, &mut self.wake_buf);
             for &(t, w) in &self.wake_buf {
                 self.clocks[w] = t;
-                self.queue.push(t, w);
-                self.parked = self
-                    .parked
-                    .checked_sub(1)
-                    .expect("wakeup for a worker that was not parked");
+                if self.queue.schedule(t, w) {
+                    self.parked = self
+                        .parked
+                        .checked_sub(1)
+                        .expect("wakeup for a worker that was not parked");
+                }
             }
             self.wake_buf.clear();
         }
@@ -356,7 +393,14 @@ impl<W, A: Actor<W>> Engine<W, A> {
     /// sorted vector instead of the heap — exploration runs are small and
     /// clarity beats the heap's fast path here. Choosing index 0 at every
     /// decision executes the identical `(time, worker)` sequence as
-    /// [`Engine::run`].
+    /// [`Engine::run`] for actors that never park.
+    ///
+    /// Reordered steps break the wake-instant computation behind parking
+    /// (it assumes minimum-key order), so here a [`Step::Park`] is a plain
+    /// re-poll at the actor's next grid instant and the world's wakeups are
+    /// drained and dropped. With the `()` hook that makes this the exact
+    /// polling loop that [`Engine::run`]'s parking reproduces: the two
+    /// differ only in their step counts.
     pub fn run_with_hook<H: ScheduleHook + ?Sized>(&mut self, hook: &mut H) -> EngineReport {
         let mut runnable: Vec<(VTime, WorkerId)> = self.queue.drain_sorted();
         let mut steps = 0u64;
@@ -371,25 +415,30 @@ impl<W, A: Actor<W>> Engine<W, A> {
                 self.max_steps,
                 t
             );
-            match self.actors[w].step(w, t, &mut self.world) {
-                Step::Yield(d) => {
-                    let nt = t + d.max(VTime::ns(1));
-                    self.clocks[w] = nt;
-                    let pos = runnable
-                        .binary_search(&(nt, w))
-                        .expect_err("(clock, worker) keys are unique");
-                    runnable.insert(pos, (nt, w));
-                }
+            let next = match self.actors[w].step(w, t, &mut self.world) {
+                Step::Yield(d) => Some(t + d.max(VTime::ns(1))),
                 Step::Park => {
-                    // Exploration reorders actor steps, which breaks the
-                    // wake-instant computation (it assumes minimum-key
-                    // order); runs under a hook must disable parking.
-                    panic!("Step::Park is not supported under schedule exploration");
+                    let repoll = self
+                        .repoll
+                        .expect("Step::Park under run_with_hook requires Engine::with_repoll");
+                    Some(repoll(&self.world, w))
                 }
                 Step::Halt => {
                     self.clocks[w] = t;
                     end = end.max(t);
+                    None
                 }
+            };
+            if let Some(nt) = next {
+                self.clocks[w] = nt;
+                let pos = runnable
+                    .binary_search(&(nt, w))
+                    .expect_err("(clock, worker) keys are unique");
+                runnable.insert(pos, (nt, w));
+            }
+            if let Some(f) = self.waker {
+                f(&mut self.world, &mut self.wake_buf);
+                self.wake_buf.clear();
             }
         }
         EngineReport {
@@ -642,6 +691,21 @@ mod tests {
         assert_eq!(q.pop(), Some((VTime::ns(7), 0)));
         assert_eq!(q.pop(), Some((VTime::ns(7), 2)));
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn event_queue_schedule_moves_a_wakeup_earlier() {
+        let mut q = EventQueue::empty(4);
+        assert!(q.schedule(VTime::ns(9), 1));
+        assert!(q.schedule(VTime::ns(5), 2));
+        assert!(q.schedule(VTime::ns(7), 3));
+        // Decrease-key: worker 1 moves from 9 ns ahead of everyone.
+        assert!(!q.schedule(VTime::ns(4), 1));
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.pop(), Some((VTime::ns(4), 1)));
+        assert_eq!(q.pop(), Some((VTime::ns(5), 2)));
+        assert_eq!(q.pop(), Some((VTime::ns(7), 3)));
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -852,13 +852,7 @@ impl FaultState {
     /// unchanged after an intra-poll toggle) but complete: a worker absent
     /// from the feed since the cursor's last position has not changed.
     pub fn death_candidates(&mut self, cursor: &mut usize, now: VTime, out: &mut Vec<WorkerId>) {
-        if now > self.watch.generated_to {
-            // Detach the feed so generation can read plan state through
-            // `&self` (it never touches the watch itself).
-            let mut watch = std::mem::take(&mut self.watch);
-            watch.generate(self, now);
-            self.watch = watch;
-        }
+        self.generate_feed(now);
         let events = &self.watch.events;
         while let Some(&(t, w)) = events.get(*cursor) {
             if t > now {
@@ -867,6 +861,39 @@ impl FaultState {
             out.push(w);
             *cursor += 1;
         }
+    }
+
+    /// Extend the candidate feed through `target`.
+    fn generate_feed(&mut self, target: VTime) {
+        if target > self.watch.generated_to {
+            // Detach the feed so generation can read plan state through
+            // `&self` (it never touches the watch itself).
+            let mut watch = std::mem::take(&mut self.watch);
+            watch.generate(self, target);
+            self.watch = watch;
+        }
+    }
+
+    /// See [`crate::Machine::next_fault_event`]. A feed still being
+    /// generated past its horizon answers with the horizon itself: every
+    /// status change up to there is known, and a wake there is at worst
+    /// spurious.
+    pub fn next_event(&mut self, me: WorkerId, after: VTime) -> Option<VTime> {
+        self.generate_feed(after + VTime::ns(1));
+        let events = &self.watch.events;
+        let feed = match events.get(events.partition_point(|&(t, _)| t <= after)) {
+            Some(&(t, _)) => Some(t),
+            None => (self.watch.generated_to < VTime::MAX).then_some(self.watch.generated_to),
+        };
+        let kill = self.kill_at[me].filter(|&t| t > after);
+        let crash = self
+            .plan
+            .crash
+            .iter()
+            .filter(|c| c.worker == me && c.from > after)
+            .map(|c| c.from)
+            .min();
+        [feed, kill, crash].into_iter().flatten().min()
     }
 
     pub fn plan(&self) -> &FaultPlan {
@@ -1354,7 +1381,7 @@ mod tests {
             .with_detector(Detector::Message)
             .with_suspect(VTime::us(30));
         let fs = FaultState::new(plan, 2);
-        for t in (0..2_000).map(|k| VTime::us(k)) {
+        for t in (0..2_000).map(VTime::us) {
             assert!(!fs.suspected(0, t), "falsely suspected at {t}");
             assert!(!fs.confirmed_dead(0, t));
         }
@@ -1396,7 +1423,7 @@ mod tests {
         // ...but unsuspected once the delayed beats land (50us, 75us, ...).
         assert!(!fs.suspected(1, VTime::us(55)));
         // The undegraded worker 0 is never suspected.
-        for t in (0..600).map(|k| VTime::us(k)) {
+        for t in (0..600).map(VTime::us) {
             assert!(!fs.suspected(0, t));
         }
         // Under the oracle the same plan confirms nobody (ground truth).
@@ -1417,7 +1444,7 @@ mod tests {
         let b = FaultState::new(plan, 4);
         let mut suspected_somewhere = false;
         for w in 0..4 {
-            for t in (0..4_000).map(|k| VTime::us(k)) {
+            for t in (0..4_000).map(VTime::us) {
                 assert_eq!(a.suspected(w, t), b.suspected(w, t));
                 suspected_somewhere |= a.suspected(w, t);
             }
@@ -1534,14 +1561,14 @@ mod tests {
         for t in (0..horizon_us).map(VTime::us) {
             out.clear();
             fs.death_candidates(&mut cursor, t, &mut out);
-            for w in 0..workers {
+            for (w, was_dead) in latched.iter_mut().enumerate() {
                 let now_dead = fs.confirmed_dead(w, t);
-                if now_dead != latched[w] {
+                if now_dead != *was_dead {
                     assert!(
                         out.contains(&w),
                         "feed missed worker {w}'s transition to {now_dead} at {t}"
                     );
-                    latched[w] = now_dead;
+                    *was_dead = now_dead;
                 }
             }
         }

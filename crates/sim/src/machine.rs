@@ -307,14 +307,24 @@ pub struct Machine {
 /// A worker parked on one word of its own segment instead of re-polling it
 /// every `grid_ns` of virtual time. The watch carries everything needed to
 /// reproduce the abandoned polling loop exactly: the instant of the last
-/// real poll (`since`), the poll period (`grid_ns`), and the fabric charge
-/// (`charge` local ops) each skipped poll would have made.
+/// real poll (`since`), the poll period (`grid_ns`), the fabric charge
+/// (`charge` local ops) each skipped poll would have made, and the poll
+/// instant the engine currently holds the worker's wake at (`wake`, `None`
+/// while nothing has woken it yet).
 #[derive(Clone, Copy, Debug)]
 struct ParkWatch {
     off: u32,
     since: VTime,
     grid_ns: u64,
     charge: u64,
+    wake: Option<VTime>,
+}
+
+impl ParkWatch {
+    /// Instant of abandoned poll `j` (poll 0 is the parking step itself).
+    fn poll(&self, j: u64) -> VTime {
+        VTime::ns(self.since.as_ns() + j * self.grid_ns)
+    }
 }
 
 impl Machine {
@@ -473,12 +483,22 @@ impl Machine {
     /// against parked pollers (see [`Machine::park_on_own_word`]), and
     /// fault windows (crash, degraded NIC) are evaluated against the right
     /// virtual instant.
+    ///
+    /// A worker stepping out of a park settles it here: every abandoned
+    /// poll strictly between the parking step and `now` was skipped, and
+    /// each would have charged the watch's `charge` local ops and nothing
+    /// else.
     #[inline]
     pub fn begin_step(&mut self, me: WorkerId, now: VTime) {
         self.step_cur = me;
         self.step_now = now;
         if let Some(fs) = self.faults.as_mut() {
             fs.begin_step(me, now);
+        }
+        if let Some(w) = self.parked[me].take() {
+            let d = now.as_ns() - w.since.as_ns();
+            debug_assert!(d >= w.grid_ns && d.is_multiple_of(w.grid_ns), "woken off the poll grid");
+            self.stats[me].local_ops += (d / w.grid_ns - 1) * w.charge;
         }
     }
 
@@ -567,6 +587,16 @@ impl Machine {
         }
     }
 
+    /// The first instant after `after` at which a fault-plan query about
+    /// `me` can answer differently than at `after`: `me`'s kill, the start
+    /// of its next crash window, or the next event of the detector
+    /// candidate feed (any worker's confirmation status). Only an owner
+    /// spin parks on it (see [`Machine::park_on_own_word`]); `None` without
+    /// a fault plan or once nothing is left to change.
+    pub fn next_fault_event(&mut self, me: WorkerId, after: VTime) -> Option<VTime> {
+        self.faults.as_mut().and_then(|fs| fs.next_event(me, after))
+    }
+
     /// Has `worker` published a heartbeat strictly after `since` that is
     /// visible at `now`? (Termination attest rule.)
     #[inline]
@@ -613,9 +643,11 @@ impl Machine {
     /// In a real deployment this is a membership write to the same
     /// well-known registry the heartbeats land in; survivors piggyback the
     /// refreshed view on their next lease read, which the idle loop already
-    /// charges for.
+    /// charges for. Every poll reads the registry (the evicted worker's
+    /// self-fence, a lock holder's epoch), so parked pollers all wake.
     pub fn evict(&mut self, worker: WorkerId) -> u64 {
         self.epochs[worker] += 1;
+        self.wake_all_parked();
         self.epochs[worker]
     }
 
@@ -1139,57 +1171,98 @@ impl Machine {
     /// This is a pure host-side optimization with byte-identical simulated
     /// behaviour: had the worker kept polling, it would have re-checked the
     /// word at `now + grid`, `now + 2·grid`, … and each failed check would
-    /// have charged `charge` local ops. When the word is next written (or
-    /// the global done flag raised), [`Machine::wake_parked`] computes the
-    /// first poll instant that observes the write under the engine's
-    /// `(clock, worker)` ordering, credits the skipped polls' local ops,
-    /// and hands the wake instant to the engine — which re-runs the worker
-    /// exactly where the polling loop would have made its first successful
-    /// check. The caller must return [`crate::engine::Step::Park`] for the
-    /// current step.
+    /// have charged `charge` local ops. The worker wakes at the first of
+    /// those poll instants that could see anything but a failed check:
     ///
-    /// The wake-instant computation assumes minimum-key scheduling, so
-    /// callers must not park under schedule exploration, and it reproduces
-    /// the abandoned loop only if every skipped poll would have been a
-    /// no-op apart from its `charge` — callers gate on that (no fault
-    /// plan, no watchdog).
-    pub fn park_on_own_word(&mut self, me: WorkerId, off: u32, grid: VTime, charge: u64) {
+    /// * one that observes a write to the word, the global done flag or the
+    ///   epoch registry under the engine's `(clock, worker)` ordering (see
+    ///   [`Machine::wake_parked`]);
+    /// * the first at or after `deadline`: the caller's earliest instant at
+    ///   which a poll could decide differently by the clock alone (see
+    ///   [`Machine::next_fault_event`]). An early deadline only costs a
+    ///   spurious wake — the woken poll fails and parks again.
+    ///
+    /// [`Machine::begin_step`] credits the skipped polls' local ops when
+    /// the worker runs again. The caller must return
+    /// [`crate::engine::Step::Park`] for the current step. The
+    /// wake-instant computation assumes minimum-key scheduling; under
+    /// schedule exploration the engine re-polls at the next grid instant
+    /// instead ([`Machine::repoll_at`]).
+    pub fn park_on_own_word(
+        &mut self,
+        me: WorkerId,
+        off: u32,
+        grid: VTime,
+        charge: u64,
+        deadline: Option<VTime>,
+    ) {
         debug_assert_eq!(me, self.step_cur, "only the stepping worker can park");
         debug_assert!(self.parked[me].is_none(), "double park");
-        self.parked[me] = Some(ParkWatch {
+        let w = ParkWatch {
             off,
             since: self.step_now,
             grid_ns: grid.as_ns().max(1),
             charge,
-        });
+            wake: None,
+        };
+        self.parked[me] = Some(w);
+        if let Some(d) = deadline {
+            // First poll at or after the deadline; none if it lies past the
+            // end of virtual time.
+            let j = d.as_ns().saturating_sub(w.since.as_ns()).div_ceil(w.grid_ns).max(1);
+            if let Some(t) = j.checked_mul(w.grid_ns).and_then(|o| w.since.as_ns().checked_add(o)) {
+                self.queue_wake(me, VTime::ns(t));
+            }
+        }
     }
 
-    /// Wake the worker parked on `rank`: compute the first of its abandoned
-    /// poll instants that observes the current step's effects, credit the
-    /// polls skipped before it, and queue the wake for the engine.
+    /// The next instant `me`'s abandoned polling loop would have polled at
+    /// (engine hook under schedule exploration).
+    pub fn repoll_at(&self, me: WorkerId) -> VTime {
+        self.parked[me].expect("re-poll of an unparked worker").poll(1)
+    }
+
+    /// Hand the engine wake instant `t` for the worker parked on `rank`,
+    /// unless it already holds an earlier one.
+    fn queue_wake(&mut self, rank: usize, t: VTime) {
+        let w = self.parked[rank].as_mut().expect("wake of an unparked worker");
+        if w.wake.is_none_or(|cur| t < cur) {
+            w.wake = Some(t);
+            self.wakeups.push((t, rank));
+        }
+    }
+
+    /// Wake the worker parked on `rank` at the first of its abandoned poll
+    /// instants that observes the current step's effects.
     ///
     /// A poll at `(s, rank)` observes an effect of the step `(T, writer)`
     /// iff `(s, rank) > (T, writer)` in engine key order — effects are
     /// eager, so everything a step writes is visible to every later step.
     fn wake_parked(&mut self, rank: usize) {
-        let w = self.parked[rank].take().expect("wake of an unparked worker");
-        let d = self.step_now.as_ns() - w.since.as_ns();
-        let g = w.grid_ns;
-        let (j0, rem) = (d / g, d % g);
+        let w = self.parked[rank].expect("wake of an unparked worker");
+        // Saturating: under schedule exploration the writer's clock can
+        // trail the parking step (the wake is dropped there anyway).
+        let d = self.step_now.as_ns().saturating_sub(w.since.as_ns());
+        let (j0, rem) = (d / w.grid_ns, d % w.grid_ns);
         // First poll index j ≥ 1 with (since + j·g, rank) > (step_now, cur);
         // on an exact grid hit the worker-id tiebreak decides.
-        let j = if rem != 0 {
-            j0 + 1
-        } else if j0 >= 1 && rank > self.step_cur {
+        let j = if rem == 0 && j0 >= 1 && rank > self.step_cur {
             j0
         } else {
             j0 + 1
         };
-        // The polls at since + g, …, since + (j−1)·g were skipped; each
-        // would have charged `charge` local ops and nothing else.
-        self.stats[rank].local_ops += (j - 1) * w.charge;
-        self.wakeups
-            .push((VTime::ns(w.since.as_ns() + j * g), rank));
+        self.queue_wake(rank, w.poll(j));
+    }
+
+    /// Wake every parked worker (see [`Machine::wake_parked`]): the current
+    /// step wrote shared state that every poll reads. Spurious for pollers
+    /// whose check the write does not change — they fail and park again.
+    fn wake_all_parked(&mut self) {
+        for r in 0..self.parked.len() {
+            if self.parked[r].is_some() {
+                self.wake_parked(r);
+            }
+        }
     }
 
     /// A word of `rank`'s segment was just written; wake `rank` if it is
@@ -1205,10 +1278,8 @@ impl Machine {
         if r > self.stats[rank].peak_resident_bytes {
             self.stats[rank].peak_resident_bytes = r;
         }
-        if let Some(w) = &self.parked[rank] {
-            if w.off == off {
-                self.wake_parked(rank);
-            }
+        if self.parked[rank].is_some_and(|w| w.off == off) {
+            self.wake_parked(rank);
         }
     }
 
@@ -1223,11 +1294,7 @@ impl Machine {
     /// (same engine-order rule as a word write).
     pub fn set_done(&mut self) {
         self.done = true;
-        for r in 0..self.parked.len() {
-            if self.parked[r].is_some() {
-                self.wake_parked(r);
-            }
-        }
+        self.wake_all_parked();
     }
 
     #[inline]
@@ -1907,6 +1974,38 @@ mod tests {
         assert!(!m.is_done());
         m.set_done();
         assert!(m.is_done());
+    }
+
+    /// A parked poller with a deadline is queued at the first poll instant
+    /// at or after it; a write observed earlier moves the wake forward,
+    /// one observed later leaves it; the skipped polls are credited when
+    /// the worker steps again.
+    #[test]
+    fn park_deadline_and_earlier_write_wake() {
+        let mut m = machine(2);
+        let mut wakes = Vec::new();
+        m.begin_step(1, VTime::ns(100));
+        m.park_on_own_word(1, 64, VTime::ns(10), 2, Some(VTime::ns(145)));
+        m.take_wakeups(&mut wakes);
+        assert_eq!(wakes, vec![(VTime::ns(150), 1)]);
+        // Worker 0 writes the watched word at 115 ns: the poll at 120 ns is
+        // the first to see it.
+        m.begin_step(0, VTime::ns(115));
+        m.poke_word(GlobalAddr::new(1, 64), 1);
+        wakes.clear();
+        m.take_wakeups(&mut wakes);
+        assert_eq!(wakes, vec![(VTime::ns(120), 1)]);
+        // A second write seen by the same poll changes nothing.
+        m.begin_step(0, VTime::ns(118));
+        m.set_done();
+        wakes.clear();
+        m.take_wakeups(&mut wakes);
+        assert!(wakes.is_empty());
+        let before = m.stats(1).local_ops;
+        m.begin_step(1, VTime::ns(120));
+        // The poll at 110 ns was skipped: 2 local ops.
+        assert_eq!(m.stats(1).local_ops, before + 2);
+        assert_eq!(m.parked[1].map(|w| w.since), None);
     }
 
     #[test]

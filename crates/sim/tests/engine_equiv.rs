@@ -273,6 +273,41 @@ fn park_wake_grid_tie_is_exact() {
     }
 }
 
+/// Under `run_with_hook` a park is a re-poll at the next grid instant and
+/// the world's wakeups are dropped, so with the default schedule a parking
+/// fleet steps exactly like the polling one: same trace, clocks and end.
+#[test]
+fn hooked_park_is_the_polling_loop() {
+    for &(delay, grid) in &[(7u64, 3u64), (12, 4), (1, 5), (20, 10)] {
+        for writer_first in [true, false] {
+            let writer = Role::Writer { delay, fired: false };
+            let (spin_fleet, park_fleet) = if writer_first {
+                (vec![writer.clone(), Role::Spinner], vec![writer, Role::Parker])
+            } else {
+                (vec![Role::Spinner, writer.clone()], vec![Role::Parker, writer])
+            };
+            let n = park_fleet.len();
+            let (st, send, sclocks) = poll_run(spin_fleet, grid);
+            let world = PWorld {
+                trace: Trace::new(),
+                release: None,
+                park: None,
+                wakeups: Vec::new(),
+                grid,
+            };
+            let mut e = Engine::new(world, park_fleet)
+                .with_waker(|w, out| out.append(&mut w.wakeups))
+                .with_repoll(|w, _| w.park.expect("parked").0 + VTime::ns(w.grid));
+            let r = e.run_with_hook(&mut ());
+            let clocks: Vec<VTime> = (0..n).map(|w| e.clock(w)).collect();
+            let ctx = format!("delay={delay} grid={grid} writer_first={writer_first}");
+            assert_eq!(e.world.trace, st, "{ctx}");
+            assert_eq!(r.end_time, send, "{ctx}");
+            assert_eq!(clocks, sclocks, "{ctx}");
+        }
+    }
+}
+
 #[test]
 #[should_panic(expected = "still parked")]
 fn lost_wakeup_panics() {

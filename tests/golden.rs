@@ -318,5 +318,32 @@ fn golden_pipelined_uts16_recovery_armed() {
             .with_fault_plan(FaultPlan::none().with_recovery()),
     );
     assert_eq!(r.result.as_u64(), 3028);
-    assert_eq!(pipelined_pins(&r), (609_890, 29, 24_337, 3, 98_460));
+    assert_eq!(pipelined_pins(&r), (609_890, 29, 24_337, 3, 12_104));
+}
+
+#[test]
+fn armed_recovery_parks_lock_spins() {
+    // An armed plan no longer switches owner lock spins back to polling:
+    // the parked run takes fewer engine steps than the polling loop that
+    // `run_hooked` with the default schedule steps through, and agrees
+    // with it on everything else.
+    let cfg = || {
+        RunConfig::new(16, Policy::ContGreedy)
+            .with_profile(profiles::itoa())
+            .with_seed(7)
+            .with_seg_bytes(64 << 20)
+            .with_fabric(FabricMode::Pipelined)
+            .with_fault_plan(FaultPlan::none().with_recovery())
+    };
+    let parked = run(cfg(), uts::program(uts::presets::tiny()));
+    let polled = run_hooked(cfg(), uts::program(uts::presets::tiny()), &mut ());
+    assert!(
+        parked.steps < polled.steps,
+        "parked {} vs polled {} steps",
+        parked.steps,
+        polled.steps
+    );
+    assert_eq!(parked.result, polled.result);
+    assert_eq!(parked.elapsed, polled.elapsed);
+    assert_eq!(parked.fabric, polled.fabric);
 }

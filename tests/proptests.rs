@@ -4,6 +4,11 @@
 //! seeds; assert the invariants the runtime must keep regardless of
 //! schedule — result correctness, conservation of threads/entries (enforced
 //! internally by strict mode), the work law, and determinism.
+//!
+//! The fault-plan, kill and protocol properties also run each fork-join
+//! input through `run_hooked(.., &mut ())`, the polling loop that `run`'s
+//! parked owner lock spins reproduce: both must produce the same report in
+//! every field but the engine step count.
 
 use proptest::prelude::*;
 
@@ -11,6 +16,7 @@ use dcs::apps::lcs::{self, LcsParams};
 use dcs::apps::uts::{serial_count, Shape, UtsSpec};
 use dcs::bot;
 use dcs::prelude::*;
+use dcs::sim::CrashWindow;
 
 fn any_policy() -> impl Strategy<Value = Policy> {
     prop_oneof![
@@ -19,6 +25,20 @@ fn any_policy() -> impl Strategy<Value = Policy> {
         Just(Policy::ChildFull),
         Just(Policy::ChildRtc),
     ]
+}
+
+/// Run `cfg` with parked lock spins (`run`) and with the polling loop they
+/// stand in for (`run_hooked` under the default schedule); require the
+/// same report apart from the step count and return the parked run.
+fn run_parked_and_polled(cfg: RunConfig, prog: impl Fn() -> Program) -> RunReport {
+    let mut parked = run(cfg.clone(), prog());
+    let mut polled = run_hooked(cfg, prog(), &mut ());
+    let steps = parked.steps;
+    assert!(steps <= polled.steps, "parking added engine steps");
+    (parked.steps, polled.steps) = (0, 0);
+    assert_eq!(format!("{parked:?}"), format!("{polled:?}"), "parking changed the run");
+    parked.steps = steps;
+    parked
 }
 
 /// Random fork-join reduction: sum of i² over a random-size range, random
@@ -162,12 +182,12 @@ proptest! {
         let spec = UtsSpec::new(b0 as f64, gen_mx, Shape::Linear, tree_seed);
         let expected = serial_count(&spec).nodes;
         let plan = FaultPlan::transient(fault_permille as f64 / 1000.0, fault_seed);
-        let r = run(
+        let r = run_parked_and_polled(
             RunConfig::new(workers, policy)
                 .with_profile(profiles::test_profile())
                 .with_seg_bytes(64 << 20)
                 .with_fault_plan(plan.clone()),
-            dcs::apps::uts::program(spec.clone()),
+            || dcs::apps::uts::program(spec.clone()),
         );
         prop_assert_eq!(r.result.as_u64(), expected);
         if let Some(wd) = &r.watchdog {
@@ -389,6 +409,7 @@ proptest! {
         pipelined in proptest::bool::ANY,
         fault_permille in 0u64..80,
         fault_seed in 0u64..500,
+        watchdog in proptest::bool::ANY,
     ) {
         let spec = UtsSpec::new(b0 as f64, gen_mx, Shape::Linear, tree_seed);
         let expected = serial_count(&spec).nodes;
@@ -400,7 +421,8 @@ proptest! {
                     .with_profile(profiles::test_profile())
                     .with_seg_bytes(64 << 20)
                     .with_fabric(mode)
-                    .with_protocol(protocol);
+                    .with_protocol(protocol)
+                    .with_watchdog(watchdog);
                 if fault_permille > 0 {
                     c = c.with_fault_plan(FaultPlan::transient(
                         fault_permille as f64 / 1000.0,
@@ -409,12 +431,12 @@ proptest! {
                 }
                 c
             };
-            let r = run(cfg(), dcs::apps::uts::program(spec.clone()));
+            let r = run_parked_and_polled(cfg(), || dcs::apps::uts::program(spec.clone()));
             prop_assert_eq!(r.result.as_u64(), expected, "uts under {:?}", protocol);
             if let Some(wd) = &r.watchdog {
                 prop_assert!(wd.is_clean(), "uts under {:?}: {}", protocol, wd);
             }
-            let r = run(cfg(), dcs::apps::pfor::pfor_program(params));
+            let r = run_parked_and_polled(cfg(), || dcs::apps::pfor::pfor_program(params));
             prop_assert!(r.outcome.is_complete(), "pfor under {:?}", protocol);
             prop_assert_eq!(r.stats.threads_spawned, r.stats.threads_died);
         }
@@ -464,7 +486,7 @@ proptest! {
                 .with_fault_plan(plan.clone())
                 .with_watchdog(true);
             cfg.max_steps = 50_000_000;
-            let r = run(cfg, dcs::apps::uts::program(spec.clone()));
+            let r = run_parked_and_polled(cfg, || dcs::apps::uts::program(spec.clone()));
             prop_assert!(
                 r.outcome.is_complete(),
                 "{:?}/{:?}/{:?}: {:?}", policy, protocol, mode, r.outcome
@@ -483,6 +505,52 @@ proptest! {
                     .collect();
                 prop_assert!(hard.is_empty(), "{:?}/{:?}: {:?}", policy, protocol, hard);
             }
+        }
+    }
+
+    /// Crash windows and a tight watchdog stall limit: the two clock-driven
+    /// events a parked lock spin must wake for without any write to wake
+    /// it (its own crash-window start, the first poll that would report a
+    /// stall). The parked run must still be the polling loop's twin —
+    /// including each stall report's instant and the longest progress gap.
+    #[test]
+    fn parking_matches_polling_under_crash_windows_and_stalls(
+        b0 in 2u32..5,
+        gen_mx in 2u32..6,
+        tree_seed in 0u64..300,
+        workers in 2usize..7,
+        policy in any_policy(),
+        pipelined in proptest::bool::ANY,
+        // Under the ITO-A profile a thief holds a lock for µs and these
+        // runs take 5–100 µs: windows and the stall limit are scaled to
+        // land inside them.
+        windows in proptest::collection::vec((0usize..7, 0u64..120, 1u64..40), 1..6),
+        stall_us in 5u64..80,
+        fault_permille in 0u64..60,
+    ) {
+        let spec = UtsSpec::new(b0 as f64, gen_mx, Shape::Linear, tree_seed);
+        let expected = serial_count(&spec).nodes;
+        let mode = if pipelined { FabricMode::Pipelined } else { FabricMode::Blocking };
+        let mut plan = FaultPlan::transient(fault_permille as f64 / 1000.0, tree_seed);
+        for &(w, from_us, len_us) in &windows {
+            plan = plan.with_crash(CrashWindow {
+                worker: w % workers,
+                from: VTime::us(from_us),
+                until: VTime::us(from_us + len_us),
+            });
+        }
+        for protocol in Protocol::ALL {
+            let mut cfg = RunConfig::new(workers, policy)
+                .with_profile(profiles::itoa())
+                .with_seg_bytes(64 << 20)
+                .with_fabric(mode)
+                .with_protocol(protocol)
+                .with_fault_plan(plan.clone());
+            cfg.stall_limit = VTime::us(stall_us);
+            // Stalls are reported, not fatal: the reports are compared.
+            cfg.strict = false;
+            let r = run_parked_and_polled(cfg, || dcs::apps::uts::program(spec.clone()));
+            prop_assert_eq!(r.result.as_u64(), expected, "{:?}/{:?}", protocol, mode);
         }
     }
 }
